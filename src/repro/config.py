@@ -22,7 +22,8 @@ Sources for the defaults:
   16 GB HBM per core (Table 1 setup text).
 * Coordinator fan-out cost: calibrated so the Fig. 6 crossover lands at
   ~2.3 ms for 16 hosts and ~35 ms for 512 hosts, i.e. ~65-70 us of
-  controller work per host per program (see DESIGN.md S5).
+  controller work per host per program (``coordinator_work_per_host_us``;
+  benchmarks/bench_fig6_crossover.py checks the crossover).
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ handles have travelled back over DCN.
 
 from __future__ import annotations
 
-import itertools
 from enum import Enum
 from typing import Generator, Optional, TYPE_CHECKING
 
@@ -55,7 +54,6 @@ class ExecutionAbandoned(RuntimeError):
         self.attempts = attempts
         self.cause = cause
 
-_exec_ids = itertools.count(1)
 
 
 class DispatchMode(Enum):
@@ -110,7 +108,7 @@ class ProgramExecution:
         #: ``client.deadline_rejections``) that spares callers from
         #: string-matching the failure cause.
         self.deadline_exceeded = False
-        self.exec_id = next(_exec_ids)
+        self.exec_id = self.sim.next_id("exec")
         self.name = f"{low.name}#{self.exec_id}"
         debug = self.sim.debug_names
 
@@ -333,7 +331,7 @@ class ProgramExecution:
                 program=self.low.name,
                 node_label=f"{self.name}:{node.label}",
                 cost_us=node.computation.compute_time_us(self.config),
-                device_ids=tuple(d.device_id for d in node.group.devices),
+                device_ids=node.group.device_ids,
                 deadline_at_us=self.deadline_at_us,
             )
             yield req.grant
@@ -384,7 +382,7 @@ class ProgramExecution:
                     program=self.low.name,
                     node_label=f"{self.name}:{node.label}",
                     cost_us=node.computation.compute_time_us(self.config),
-                    device_ids=tuple(d.device_id for d in node.group.devices),
+                    device_ids=node.group.device_ids,
                     deadline_at_us=self.deadline_at_us,
                 )
                 yield req.grant

@@ -69,7 +69,11 @@ class NodeExecutor:
         fn = self.node.computation
         per_host_us = self.config.executor_prep_us + self.config.host_launch_work_us
 
-        host_events = [host.prep_request(per_host_us) for host in group.hosts]
+        lane = group.lane
+        if lane is not None:
+            host_events = lane.prep(per_host_us)
+        else:
+            host_events = [host.prep_request(per_host_us) for host in group.hosts]
         # Output buffers: per-shard bytes reserved on every (simulated)
         # device of the group — this is where HBM back-pressure bites.
         nbytes_shard = fn.output_nbytes_per_shard()
@@ -140,8 +144,11 @@ class NodeExecutor:
             gate=gate,
         )
         kernel.done.add_callback(self._on_kernel_done)
-        for dev in group.devices:
-            dev.enqueue(kernel)
+        if group.lane is not None:
+            group.lane.enqueue(kernel)
+        else:
+            for dev in group.devices:
+                dev.enqueue(kernel)
         return [kernel]
 
     def _on_kernel_done(self, ev: Event) -> None:

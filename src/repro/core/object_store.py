@@ -101,7 +101,10 @@ class ShardedObjectStore:
         if space is MemorySpace.HBM:
             if group is None:
                 raise ValueError("HBM allocation requires a device group")
-            grants = [(dev, dev.hbm.alloc(nbytes_per_shard)) for dev in group.devices]
+            if group.lane is not None:
+                grants = group.lane.alloc(nbytes_per_shard)
+            else:
+                grants = [(dev, dev.hbm.alloc(nbytes_per_shard)) for dev in group.devices]
             self._hbm_grants[handle.object_id] = grants
             granted = self.sim.granted()
             if all(ev is granted for _, ev in grants):
@@ -141,8 +144,9 @@ class ShardedObjectStore:
             # Free exactly what was granted; waiters still queued (an
             # allocation aborted mid-grant) are cancelled instead, which
             # re-runs the FIFO grant scan so later requests unblock.
+            granted = self.sim.granted()
             for dev, ev in grants:
-                if ev.triggered and ev.ok:
+                if ev is granted or (ev.triggered and ev.ok):
                     dev.hbm.free_bytes(handle.nbytes_per_shard)
                 else:
                     dev.hbm.cancel(ev)

@@ -12,14 +12,25 @@ decision — it only removes redundant identical events, which is what
 makes the 2048-core sweeps of Figures 5/6 tractable in pure Python.
 Detailed groups are used wherever per-core behaviour matters (pipelines,
 traces, gang-scheduling tests).
+
+A group bound by the resource manager also carries a *gang lane*
+(:class:`~repro.hw.lane.GangLane`): the simulated devices, and their
+hosts, that currently move in lockstep.  The executor and the object
+store address the lane, so the lockstep members are simulated once, by
+the lane's leader; members split off on the first event that breaks
+their symmetry (a failure, outside work, HBM pressure) and are then
+simulated one by one.  Lanes change how much work the simulator does,
+never what it computes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.hw.device import Device
 from repro.hw.host import Host
+from repro.hw.lane import GangLane
 from repro.hw.topology import Island
 
 __all__ = ["DeviceGroup"]
@@ -34,10 +45,14 @@ class DeviceGroup:
     n_logical: int
     hosts: list[Host] = field(default_factory=list)
     n_hosts_logical: int = 0
+    #: The lockstep devices and hosts (set when the group is bound).
+    lane: Optional[GangLane] = None
 
     def __post_init__(self) -> None:
         if not self.devices:
             raise ValueError("device group needs at least one simulated device")
+        #: Simulated device ids, in order (the scheduler's admission key).
+        self.device_ids = tuple(d.device_id for d in self.devices)
         if self.n_logical < len(self.devices):
             raise ValueError(
                 f"n_logical={self.n_logical} < simulated devices {len(self.devices)}"

@@ -15,6 +15,7 @@ from repro.config import SystemConfig
 from repro.core.placement import DeviceGroup
 from repro.core.virtual_device import VirtualSlice
 from repro.hw.cluster import Cluster
+from repro.hw.lane import GangLane
 from repro.hw.topology import Island
 from repro.sim import Event, Simulator
 from repro.xla.compiler import Compiler
@@ -239,6 +240,7 @@ class ResourceManager:
                 n_hosts_logical=n_hosts_logical,
             )
         self._cursor[island.island_id] = self._cursor.get(island.island_id, 0) + n
+        group.lane = GangLane.form(group)
         vslice.bind(group)
         self._bound[vslice.slice_id] = vslice
         return group
@@ -261,10 +263,6 @@ class ResourceManager:
             # Leave the slice trackable so a later retry can rebind it.
             self._bound[vslice.slice_id] = vslice
             raise
-
-    def slices_needing_remap(self) -> list[VirtualSlice]:
-        """Bound slices that lost at least one device to a failure."""
-        return [s for s in self._bound.values() if s.needs_remap]
 
     # -- compilation tracking ---------------------------------------------
     def register_computation(self, fn: CompiledFunction) -> Event:

@@ -19,9 +19,8 @@ Scheduling happens at millisecond timescales; each decision costs
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Generator, Optional, Protocol
 
 from repro.config import SystemConfig
@@ -37,8 +36,6 @@ __all__ = [
     "IslandScheduler",
     "ProportionalSharePolicy",
 ]
-
-_request_seq = itertools.count()
 
 
 class DeadlineExceeded(RuntimeError):
@@ -80,7 +77,9 @@ class GangRequest:
     #: read only when a tracer is attached.
     submitted_us: float = 0.0
     granted_us: float = 0.0
-    seq: int = field(default_factory=lambda: next(_request_seq))
+    #: Arrival order on the simulator (``Simulator.next_id``); requests
+    #: built by hand keep 0 and tie-break by list position.
+    seq: int = 0
 
 
 class SchedulingPolicy(Protocol):
@@ -247,6 +246,7 @@ class IslandScheduler:
             device_ids=tuple(device_ids),
             deadline_at_us=deadline_at_us,
             submitted_us=self.sim.now,
+            seq=self.sim.next_id("gang_request"),
         )
         self._incoming.push(("req", req))
         if deadline_at_us is not None:

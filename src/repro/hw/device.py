@@ -14,6 +14,18 @@ The properties that drive the paper's design are modeled exactly:
   §2, §4.4, Appendix A.5).
 * **HBM capacity** — an allocator with FIFO back-pressure, used by the
   object store (paper §4.6).
+
+**Gang lanes.**  The devices of a bound gang run identical kernels in
+lockstep, so the simulator runs them once: while a device belongs to a
+:class:`~repro.hw.lane.GangLane` only the lane's *leader* runs the drain
+state machine below.  It joins each collective with the lane's member
+count as its weight and applies every member's ``busy_us``,
+``kernels_run``, ``kernels_aborted`` and trace records at the same
+instant, in member order, so per-device reads stay exact.  The first
+symmetry-breaking event on a member — its failure, a direct
+:meth:`Device.enqueue` from outside the lane, or an HBM grant that would
+queue — splits it off with a copy of the lane's drain state, after which
+it runs this same state machine on its own.
 """
 
 from __future__ import annotations
@@ -27,6 +39,7 @@ from repro.sim import Event, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.hw.host import Host
+    from repro.hw.lane import GangLane
     from repro.trace.events import TraceRecorder
 
 __all__ = [
@@ -106,16 +119,28 @@ class HbmAllocator:
             ev = self.sim.event(name=f"hbm_alloc:{self.name}" if debug else "")
             ev.fail(DeviceFailure(self.device.device_id, "alloc on failed device"))
             return ev
-        if not self._waiters and self.used + nbytes <= self.capacity:
-            # Uncontended reservation: grant instantly with the shared
+        if self.grant_now(nbytes):
+            # Uncontended reservation: granted instantly with the shared
             # completed event — no allocation, no loop entry.
-            self.used += nbytes
-            if self.used > self.peak_used:
-                self.peak_used = self.used
             return self.sim.granted()
+        device = self.device
+        if device is not None and device.lane is not None:
+            # A queued grant breaks the gang's lockstep: this core leaves
+            # its lane before the wait starts.
+            device.lane.split(device)
         ev = self.sim.event(name=f"hbm_alloc:{self.name}" if debug else "")
         self._waiters.append((ev, nbytes))
         return ev
+
+    def grant_now(self, nbytes: int) -> bool:
+        """Reserve ``nbytes`` at once if nothing is queued and they fit;
+        False (and nothing reserved) when the request would have to wait."""
+        if self._waiters or self.used + nbytes > self.capacity:
+            return False
+        self.used += nbytes
+        if self.used > self.peak_used:
+            self.peak_used = self.used
+        return True
 
     def _grant(self, ev: Event, nbytes: int) -> None:
         self.used += nbytes
@@ -237,8 +262,10 @@ class CollectiveRendezvous:
     def aborted(self) -> bool:
         return self._done.triggered and not self._done.ok
 
-    def join(self) -> Event:
-        self._joined += 1
+    def join(self, weight: int = 1) -> Event:
+        """Arrive at the rendezvous on behalf of ``weight`` participants
+        (a gang lane's leader joins once for all its members)."""
+        self._joined += weight
         if self.aborted:
             # A participant died; late joiners observe the failure too.
             return self._done
@@ -358,6 +385,10 @@ class Device:
     (matching the deep hardware FIFOs that make asynchronous dispatch
     possible, Appendix A.2).
 
+    While the core is a follower in a gang lane (:attr:`lane`), its own
+    drain state is dormant: the lane's leader drains for it and keeps
+    its accounting (see the module docstring).
+
     The drain loop is an explicit event-chain state machine rather than
     a generator process: devices are the single hottest activity of a
     paper-scale sweep (one wait per gate / launch / collective phase per
@@ -407,14 +438,33 @@ class Device:
         self.failed = False
         self.fail_count = 0
         self.kernels_aborted = 0
+        #: The gang lane this core currently moves in (None: on its own).
+        self.lane: Optional["GangLane"] = None
+        #: Collective participants one join of this state machine stands
+        #: for: the member count while leading a lane, else 1.
+        self._weight = 1
+        #: ``(event, device)``: cores that left this one's lane while it
+        #: waited on ``event``; they run their copy of the phase right
+        #: after this core's own (see :meth:`adopt`).
+        self._riders: list[tuple[Event, "Device"]] = []
+        #: Cores that left this one's lane mid-:meth:`_complete`; they
+        #: drain their copy of the queue right after this core does.
+        self._stragglers: list["Device"] = []
         self._drain_next()
 
     @property
     def name(self) -> str:
         return f"d{self.device_id}"
 
-    def enqueue(self, kernel: Kernel) -> Event:
-        """Append a kernel to the FIFO; returns the kernel's done event."""
+    def enqueue(self, kernel: Kernel, lane: Optional["GangLane"] = None) -> Event:
+        """Append a kernel to the FIFO; returns the kernel's done event.
+
+        ``lane`` is set only by :meth:`GangLane.enqueue` on the lane's
+        leader.  Any other enqueue on a lane member comes from outside
+        the gang and splits the member off first.
+        """
+        if self.lane is not lane and self.lane is not None:
+            self.lane.split(self)
         if self.failed:
             # Fail fast: work sent to a dead device is lost immediately
             # (its gang peers are released too), never silently queued.
@@ -432,6 +482,8 @@ class Device:
         queue, and stop the drain loop until :meth:`restart`."""
         if self.failed:
             return
+        if self.lane is not None:
+            self.lane.split(self)
         self.failed = True
         self.fail_count += 1
         cause = DeviceFailure(self.device_id, reason)
@@ -489,11 +541,43 @@ class Device:
         return True
 
     def _on_phase_event(self, ev: Event) -> None:
-        if self._waiting_on is not ev:
-            return  # stale registration (device failed/restarted since)
-        self._waiting_on = None
-        phase, self._phase = self._phase, None
-        phase(ev)
+        # A stale registration (device failed/restarted since) runs no
+        # phase of its own, but still carries its riders.
+        if self._waiting_on is ev:
+            self._waiting_on = None
+            phase, self._phase = self._phase, None
+            phase(ev)
+        if self._riders:
+            riders = self._riders
+            self._riders = [(e, d) for e, d in riders if e is not ev]
+            for e, dev in riders:
+                if e is ev:
+                    dev._on_phase_event(ev)
+
+    # -- gang lanes -----------------------------------------------------------
+    def adopt(self, src: "Device") -> None:
+        """Take on ``src``'s drain state: a copy of its queue, its current
+        kernel and busy-window start, and its pending phase.
+
+        Called when this core leaves ``src``'s lane (or takes over as the
+        leader when ``src`` leaves).  The pending phase is joined through
+        ``src``'s own registration, so this core resumes right after
+        ``src`` at the same instant, exactly where its own registration
+        would have fired.
+        """
+        self._queue = deque(src._queue)
+        self._current = src._current
+        self._start_us = src._start_us
+        self._idle = src._idle
+        ev = src._waiting_on
+        if ev is not None:
+            self._waiting_on = ev
+            self._phase = getattr(self, src._phase.__name__)
+            src._riders.append((ev, self))
+        elif not src._idle:
+            # src is inside _complete (a kernel-done callback split us
+            # off): drain right after it does.
+            src._stragglers.append(self)
 
     def _drain_next(self) -> None:
         """Pop and start the next kernel, or go idle until one arrives
@@ -526,7 +610,7 @@ class Device:
             # joiner still determines the same completion time) and
             # account the busy window from the post-launch instant.
             self._start_us = self.sim.now + collective.launch_us
-            join = collective.join()
+            join = collective.join(self._weight)
             if self._await(join, self._after_collective):
                 return
             self._after_collective(join)
@@ -547,7 +631,7 @@ class Device:
             # join() covers the compute phase too when the rendezvous
             # was built with compute_us (one wait, one shared timeout
             # for the whole gang).
-            join = collective.join()
+            join = collective.join(self._weight)
             if self._await(join, self._after_collective):
                 return
             self._after_collective(join)
@@ -574,22 +658,29 @@ class Device:
     def _complete(self, ev: Optional[Event]) -> None:
         kernel, self._current = self._current, None
         end = self.sim.now
-        self.busy_us += end - self._start_us
-        self.kernels_run += 1
-        if self.trace is not None:
-            self.trace.record(
-                device=self.device_id,
-                start=self._start_us,
-                end=end,
-                tag=kernel.tag,
-                program=kernel.program,
-            )
+        start = self._start_us
+        span = end - start
+        for dev in self.lane.devices if self.lane is not None else (self,):
+            dev.busy_us += span
+            dev.kernels_run += 1
+            if dev.trace is not None:
+                dev.trace.record(
+                    device=dev.device_id,
+                    start=start,
+                    end=end,
+                    tag=kernel.tag,
+                    program=kernel.program,
+                )
         done = kernel.done
         if not done.triggered:
             # Gang-shared kernels complete once, inline (the callbacks
             # run at the same instant either way).
             done.succeed_inline(None)
         self._drain_next()
+        if self._stragglers:
+            stragglers, self._stragglers = self._stragglers, []
+            for dev in stragglers:
+                dev._drain_next()
 
     def _peer_fault(self, exc: BaseException) -> None:
         """A *peer* failed: this device was released from a gang
@@ -603,7 +694,8 @@ class Device:
         if fault is None:
             raise exc
         current, self._current = self._current, None
-        self._abort_kernel(current, fault)
+        for dev in self.lane.devices if self.lane is not None else (self,):
+            dev._abort_kernel(current, fault)
         self._drain_next()
 
     def utilization(self) -> float:

@@ -13,16 +13,26 @@ holding) the CPU fails fast with :class:`HostFailure` instead of
 "running" on dead silicon.  That failure cascades into the dispatching
 program exactly like a :class:`~repro.hw.device.DeviceFailure`, which is
 where ``retry_on_failure`` catches it.
+
+The hosts of a gang lane (:mod:`repro.hw.lane`) prep in lockstep: the
+lane's leader host issues one :meth:`Host.prep_request` for all of them,
+queues it on its own CPU and mirrors each acquire and release onto the
+others.  A crash, an overlapping bind or any CPU use from outside the
+lane expands the in-flight lane preps into one prep per host
+(:meth:`Host.expand_lane_preps`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Generator
+from typing import Callable, Generator, Optional, TYPE_CHECKING
 
 from repro.config import SystemConfig
 from repro.sim import Event, Process, Resource, Simulator
 
 from repro.hw.device import Device, FaultError, Kernel
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.hw.lane import GangLane
 
 __all__ = ["Host", "HostFailure"]
 
@@ -84,6 +94,8 @@ class Host:
         #: on crash.  Same ordering argument as ``_prep_procs``.
         self._live_preps: dict[_PrepState, None] = {}
         self.preps_aborted = 0
+        #: The gang lane whose hosts this one preps in lockstep with.
+        self.lane: Optional["GangLane"] = None
         #: Crash observers (the transport layer fails in-flight messages
         #: routed through this host's NIC on crash).
         self._crash_listeners: list[Callable[["Host"], object]] = []
@@ -98,6 +110,8 @@ class Host:
         fail fast with :class:`HostFailure`."""
         if self.failed:
             return
+        if self.lane is not None:
+            self.lane.split_hosts()
         self.failed = True
         for device in self.devices:
             device.fail(reason)
@@ -161,7 +175,7 @@ class Host:
             raise HostFailure(self.host_id, "prep on crashed host")
         yield from self.cpu.using(self.sim, work_us)
 
-    def prep_request(self, work_us: float) -> Event:
+    def prep_request(self, work_us: float, lane: Optional["GangLane"] = None) -> Event:
         """Crash-aware executor-prep CPU occupancy, without a process.
 
         Semantically :meth:`prep_process` (acquire the serial CPU, hold
@@ -171,28 +185,59 @@ class Host:
         bootstrap — because the executor layer issues one of these per
         (node, host) and paper-scale dispatch sweeps create hundreds of
         thousands of them.  Returns the completion event.
+
+        With ``lane`` (this host leads the lane's hosts) the one request
+        stands for the prep of every lane host.
         """
         done = Event(self.sim)
         if self.failed:
             done.fail(HostFailure(self.host_id, "prep on crashed host"))
             return done
-        state = _PrepState(self, done, work_us)
+        mirrors = lane.hosts[1:] if lane is not None else ()
+        state = _PrepState(self, done, work_us, mirrors)
         self._live_preps[state] = None
+        from_lane = lane is not None
         # Slot ownership transfers to the _PrepState, which releases it
         # in on_done/abort on every path.
-        if self.cpu.try_acquire():  # repro: noqa[RPR005]
+        if self.cpu.try_acquire(from_lane):  # repro: noqa[RPR005]
             # Uncontended CPU: go straight to the hold phase.
-            state.holding = True
-            if work_us > 0:
-                self.sim.shared_timeout(work_us).add_callback(state.on_done)
-            else:
-                state.on_done(done)
+            state.hold()
         else:
             # Same ownership transfer on the contended path: on_grant
             # either starts the hold or hands the slot straight back if
             # the prep was aborted meanwhile.
-            self.cpu.request().add_callback(state.on_grant)  # repro: noqa[RPR005]
+            self.cpu.request(from_lane).add_callback(state.on_grant)  # repro: noqa[RPR005]
         return done
+
+    def expand_lane_preps(self) -> None:
+        """Turn this (former lane leader) host's in-flight lane preps into
+        one prep per host.
+
+        Each mirrored host gets its own :class:`_PrepState`: it keeps the
+        CPU slot the lane prep mirrored onto it, or queues on its own CPU
+        in the lane prep's FIFO place.  The lane prep's completion event
+        then fires once every host's part is done, or fails with the
+        first part that fails.
+        """
+        for state in list(self._live_preps):
+            mirrors = state.mirrors
+            if not mirrors:
+                continue
+            state.mirrors = ()
+            barrier = state.barrier
+            if barrier is None:
+                barrier = state.barrier = _PrepBarrier(state.done)
+            for host in mirrors:
+                part = _PrepState(host, state.done, state.work_us, (), barrier)
+                barrier.remaining += 1
+                host._live_preps[part] = None
+                if state.holding:
+                    # The mirrored slot becomes the part's own; it is
+                    # released when the lane prep's hold ends.
+                    part.holding = True
+                    state.riders.append(part)
+                else:
+                    host.cpu.request(True).add_callback(part.on_grant)  # repro: noqa[RPR005]
 
     def _finish_prep(self, state: "_PrepState") -> None:
         self._live_preps.pop(state, None)
@@ -213,10 +258,27 @@ class Host:
         yield self.sim.timeout(self.config.pcie_latency_us)
         return device.enqueue(kernel)
 
-    def pcie_transfer(self, nbytes: int) -> Generator:
-        """Move ``nbytes`` between device HBM and host DRAM over PCIe."""
-        duration = self.config.pcie_latency_us + nbytes / self.config.gpu_dram_bytes_per_us
-        yield self.sim.timeout(duration)
+
+class _PrepBarrier:
+    """The completion of a lane prep expanded into per-host parts: fires
+    once every part is done, or fails with the first part that fails."""
+
+    __slots__ = ("done", "remaining")
+
+    def __init__(self, done: Event):
+        self.done = done
+        self.remaining = 1
+
+    def settle(self, exc: Optional[BaseException]) -> None:
+        done = self.done
+        if done.triggered:
+            return
+        if exc is not None:
+            done.fail(exc)
+            return
+        self.remaining -= 1
+        if self.remaining == 0:
+            done.succeed_inline(None)
 
 
 class _PrepState:
@@ -228,19 +290,63 @@ class _PrepState:
     completion event fails with :class:`HostFailure` and the CPU slot is
     returned (a granted-but-unobserved slot is released when the stale
     grant is processed, so a crash can never leak the serial CPU).
+
+    ``mirrors`` are the other hosts of a gang lane whose CPUs this prep
+    holds in lockstep with its own; ``riders`` are parts of an expanded
+    lane prep whose hold ends with this one's (see
+    :meth:`Host.expand_lane_preps`).
     """
 
-    __slots__ = ("host", "done", "work_us", "holding")
+    __slots__ = (
+        "host", "done", "work_us", "holding", "finished", "mirrors", "barrier", "riders",
+    )
 
-    def __init__(self, host: Host, done: Event, work_us: float):
+    def __init__(
+        self,
+        host: Host,
+        done: Event,
+        work_us: float,
+        mirrors=(),
+        barrier: Optional[_PrepBarrier] = None,
+    ):
         self.host = host
         self.done = done
         self.work_us = work_us
         self.holding = False
+        #: Settled or aborted: a grant arriving now is handed back.
+        self.finished = False
+        self.mirrors = mirrors
+        self.barrier = barrier
+        self.riders: list[_PrepState] = []
+
+    def _settle(self, exc: Optional[BaseException]) -> None:
+        self.finished = True
+        if self.barrier is not None:
+            self.barrier.settle(exc)
+        elif not self.done.triggered:
+            if exc is None:
+                # Completion notification: the only waiter is the
+                # executor's prep barrier, which reacts at this same
+                # instant either way.
+                self.done.succeed_inline(None)
+            else:
+                self.done.fail(exc)
+
+    def hold(self) -> None:
+        self.holding = True
+        if self.mirrors:
+            # Released in on_done, or by each host's part once expanded.
+            Resource.shift_lockstep([host.cpu for host in self.mirrors], 1)
+        if self.work_us > 0:
+            # Identical prep work fans out to every host of a group at
+            # the same instant; share the completion timeout.
+            self.host.sim.shared_timeout(self.work_us).add_callback(self.on_done)
+        else:
+            self.on_done(None)
 
     def on_grant(self, ev: Event) -> None:
         host = self.host
-        if self.done.triggered:
+        if self.finished:
             # Aborted (crash) while queued.  A grant that nevertheless
             # arrived reserved a slot for a dead prep: hand it back.
             if ev._exc is None:
@@ -249,28 +355,24 @@ class _PrepState:
         if ev._exc is not None:
             # Queued waiter failed by Host.crash via cpu.fail_waiters.
             host._finish_prep(self)
-            self.done.fail(ev._exc)
+            self._settle(ev._exc)
             return
-        self.holding = True
-        if self.work_us > 0:
-            # Identical prep work fans out to every host of a group at
-            # the same instant; share the completion timeout.
-            host.sim.shared_timeout(self.work_us).add_callback(self.on_done)
-        else:
-            self.on_done(ev)
+        self.hold()
 
-    def on_done(self, ev: Event) -> None:
-        if not self.holding:
-            # Aborted (crash) while holding: CPU already released there.
-            return
-        self.holding = False
-        host = self.host
-        host._finish_prep(self)
-        host.cpu.release()
-        if not self.done.triggered:
-            # Completion notification: the only waiter is the executor's
-            # prep barrier, which reacts at this same instant either way.
-            self.done.succeed_inline(None)
+    def on_done(self, ev: Optional[Event]) -> None:
+        if self.holding:
+            self.holding = False
+            host = self.host
+            host._finish_prep(self)
+            host.cpu.release()
+            if self.mirrors:
+                Resource.shift_lockstep([mirror.cpu for mirror in self.mirrors], -1)
+            self._settle(None)
+        # else: aborted (crash) while holding; CPU already released there.
+        if self.riders:
+            riders, self.riders = self.riders, []
+            for part in riders:
+                part.on_done(ev)
 
     def abort(self, cause: BaseException) -> None:
         host = self.host
@@ -278,5 +380,4 @@ class _PrepState:
         if self.holding:
             self.holding = False
             host.cpu.release()
-        if not self.done.triggered:
-            self.done.fail(cause)
+        self._settle(cause)

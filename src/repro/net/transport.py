@@ -28,7 +28,6 @@ Two cost models share the API:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Generator, Iterable, Optional, Sequence, TYPE_CHECKING
 
@@ -44,7 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["Message", "MessageLost", "Transport", "TransportStats"]
 
-_message_ids = itertools.count(1)
 
 # _SendState phases (uncontended fast path).
 _QUEUED = 0        # waiting for the sender's NIC
@@ -95,16 +93,16 @@ class Message(Event):
 
     def __init__(self, sim: Simulator, src: "Host", dst: "Host", nbytes: int, name=""):
         super().__init__(sim, name=name)
-        self.msg_id = next(_message_ids)
+        self.msg_id = sim.next_id("msg")
         self.src = src
         self.dst = dst
         self.nbytes = nbytes
         self.sent_at_us = sim.now
         self.route: list[Link] = []
         #: Per-transport flow sequence number, the ECMP hash input.
-        #: Deliberately not :attr:`msg_id` (a process-global counter that
-        #: drifts across runs in one interpreter) so path choices are
-        #: identical run to run.
+        #: Deliberately not :attr:`msg_id` (counted per simulator, across
+        #: every transport) so a path choice depends only on this
+        #: transport's own traffic.
         self.flow_seq = 0
         #: True once the message has fully left the sender's NIC (it is
         #: propagating): a *sender* crash no longer loses it.

@@ -29,6 +29,7 @@ from repro.sim.engine import (
 from repro.sim.resources import Resource, Store
 from repro.sim.sanitize import (
     DoubleTriggerError,
+    LaneDivergenceError,
     LeakedCapacityError,
     PendingTimeoutReadError,
     SanitizerError,
@@ -47,6 +48,7 @@ __all__ = [
     "Event",
     "HeapTimerQueue",
     "Interrupt",
+    "LaneDivergenceError",
     "LeakedCapacityError",
     "PendingTimeoutReadError",
     "Process",

@@ -23,6 +23,7 @@ f-string names eagerly (helpful in a debugger; measurably slower).
 from __future__ import annotations
 
 import heapq
+import itertools
 import os
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional, Union
@@ -1265,6 +1266,8 @@ class Simulator:
         self.schedule_log: Optional[list[tuple[float, str]]] = (
             [] if log_schedule else None
         )
+        #: Per-simulator id allocators (see :meth:`next_id`).
+        self._ids: dict[str, itertools.count] = {}
 
     # -- time ------------------------------------------------------------
     @property
@@ -1273,6 +1276,19 @@ class Simulator:
         return self._now
 
     # -- factory helpers ---------------------------------------------------
+    def next_id(self, kind: str) -> int:
+        """The next label of ``kind`` (1, 2, ...), counted per simulator.
+
+        Execution ids, gang-request sequence numbers and message ids
+        come from here rather than from process-global counters, so a
+        run's labels (and the event names built from them) are the same
+        in a fresh interpreter and after any number of earlier runs.
+        """
+        counter = self._ids.get(kind)
+        if counter is None:
+            counter = self._ids[kind] = itertools.count(1)
+        return next(counter)
+
     def event(self, name: LazyName = "") -> Event:
         return Event(self, name=name)
 

@@ -12,7 +12,7 @@ deterministic and models the paper's FIFO hardware queues faithfully.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, Optional
+from typing import Any, Callable, Deque, Generator, Optional
 
 from repro.sim.engine import Event, Simulator
 from repro.sim.sanitize import UnbalancedGrantError
@@ -51,6 +51,10 @@ class Resource:
         self.leak_check = leak_check
         self._in_use = 0
         self._waiters: Deque[Event] = deque()
+        #: Called before an acquisition from outside a gang lane whose
+        #: hosts share this CPU in lockstep (``repro.hw.lane``); the lane
+        #: itself acquires with ``from_lane=True``.
+        self.on_acquire: Optional[Callable[[], None]] = None
         #: Cumulative busy time integral, for utilization reporting.
         self._busy_accum = 0.0
         self._last_change = 0.0
@@ -70,12 +74,27 @@ class Resource:
         self._busy_accum += self._in_use * (now - self._last_change)
         self._last_change = now
 
+    @staticmethod
+    def shift_lockstep(resources: list["Resource"], delta: int) -> None:
+        """Acquire (``delta=1``) or release (``delta=-1``) one slot on
+        each of ``resources`` at once.
+
+        For resources held in lockstep with a gang lane leader's (the
+        lane hosts' CPUs): they are free whenever the leader's is and
+        never have waiters of their own, so no grant can fall due.
+        """
+        for res in resources:
+            now = res.sim._now
+            res._busy_accum += res._in_use * (now - res._last_change)
+            res._last_change = now
+            res._in_use += delta
+
     def busy_time(self) -> float:
         """Integral of holders over time (µs·holders) up to now."""
         self._account()
         return self._busy_accum
 
-    def try_acquire(self) -> bool:
+    def try_acquire(self, from_lane: bool = False) -> bool:
         """Take a slot immediately if one is free (no event at all).
 
         The holder must :meth:`release` exactly as if it had gone
@@ -83,13 +102,17 @@ class Resource:
         use this to skip even the completed-event allocation on the
         uncontended path.
         """
+        if self.on_acquire is not None and not from_lane:
+            self.on_acquire()
         if self._in_use < self.capacity and not self._waiters:
             self._account()
             self._in_use += 1
             return True
         return False
 
-    def request(self) -> Event:
+    def request(self, from_lane: bool = False) -> Event:
+        if self.on_acquire is not None and not from_lane:
+            self.on_acquire()
         sim = self.sim
         if self._in_use < self.capacity and not self._waiters:
             # Uncontended acquisition: grant inline with a completed

@@ -31,7 +31,8 @@ What is checked:
   resources such as host NICs and CPUs (:class:`UnbalancedGrantError`),
   and fabric links still carrying or queueing traffic
   (:class:`LeakedCapacityError`, the per-link residual behind
-  ``fabric.idle``).
+  ``fabric.idle``), and gang lanes whose members' accounting diverged
+  or that still hold a failed device (:class:`LaneDivergenceError`).
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "DoubleTriggerError",
+    "LaneDivergenceError",
     "LeakedCapacityError",
     "PendingTimeoutReadError",
     "SanitizerError",
@@ -95,6 +97,12 @@ class LeakedCapacityError(SanitizerError):
     invariant, per link)."""
 
 
+class LaneDivergenceError(SanitizerError):
+    """A gang lane's members disagree on the kernels they ran, aborted
+    or were busy for since they joined, or a failed device is still in a
+    lane (:class:`~repro.hw.lane.GangLane`)."""
+
+
 _TRUTHY = frozenset({"1", "true", "yes", "on"})
 
 
@@ -119,6 +127,7 @@ class SimSanitizer:
         ("waiters", UnsettledWaitersError),
         ("capacity", LeakedCapacityError),
         ("grants", UnbalancedGrantError),
+        ("lanes", LaneDivergenceError),
     )
 
     def __init__(self) -> None:

@@ -10,8 +10,6 @@ program twice — with ``debug_names`` on and off — and asserts the
 
 from __future__ import annotations
 
-import re
-
 import pytest
 
 from repro.sim import Event, Simulator
@@ -42,11 +40,10 @@ def _golden_run(debug_names: bool):
     )
     sim = result.system_handle.sim
     # (time, seq, event): seq is the position in the processed stream.
-    # Execution ids ("prog#42") come from a process-global label counter
-    # that does not reset between runs; normalize them so the comparison
-    # sees the schedule, not the label allocator.
+    # Labels ("prog#42") are counted per simulator, so names compare
+    # exactly across runs in one process.
     schedule = [
-        (t, seq, re.sub(r"#\d+", "#N", name))
+        (t, seq, name)
         for seq, (t, name) in enumerate(sim.schedule_log)
     ]
     return schedule, result
@@ -101,7 +98,7 @@ def _golden_net_run(debug_names: bool):
     )
     sim = result.system_handle.sim
     schedule = [
-        (t, seq, re.sub(r"#\d+", "#N", name))
+        (t, seq, name)
         for seq, (t, name) in enumerate(sim.schedule_log)
     ]
     return schedule, result
@@ -154,7 +151,7 @@ def _golden_ecmp_run(debug_names: bool):
     )
     sim = result.system_handle.sim
     schedule = [
-        (t, seq, re.sub(r"#\d+", "#N", name))
+        (t, seq, name)
         for seq, (t, name) in enumerate(sim.schedule_log)
     ]
     return schedule, result
@@ -217,7 +214,7 @@ def _golden_serve_run(debug_names: bool):
     )
     sim = result.system_handle.sim
     schedule = [
-        (t, seq, re.sub(r"#\d+", "#N", name))
+        (t, seq, name)
         for seq, (t, name) in enumerate(sim.schedule_log)
     ]
     return schedule, result
@@ -262,7 +259,7 @@ class TestGoldenTracing:
         result = run_fn(log_schedule=True, tracer=tracer, **kwargs)
         sim = result.system_handle.sim
         schedule = [
-            (t, seq, re.sub(r"#\d+", "#N", name))
+            (t, seq, name)
             for seq, (t, name) in enumerate(sim.schedule_log)
         ]
         return schedule, result, tracer
