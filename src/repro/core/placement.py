@@ -38,7 +38,12 @@ __all__ = ["DeviceGroup"]
 
 @dataclass
 class DeviceGroup:
-    """A gang of devices (possibly aggregated) on one island."""
+    """A gang of devices (possibly aggregated) on one island.
+
+    Once bound, ``lane`` is the :class:`~repro.hw.lane.GangLane` of the
+    devices and hosts that still move in lockstep; the executor and the
+    object store address it instead of each device and host.
+    """
 
     island: Island
     devices: list[Device]

@@ -446,10 +446,10 @@ class Device:
         #: ``(event, device)``: cores that left this one's lane while it
         #: waited on ``event``; they run their copy of the phase right
         #: after this core's own (see :meth:`adopt`).
-        self._riders: list[tuple[Event, "Device"]] = []
+        self._riders: tuple[tuple[Event, "Device"], ...] = ()
         #: Cores that left this one's lane mid-:meth:`_complete`; they
         #: drain their copy of the queue right after this core does.
-        self._stragglers: list["Device"] = []
+        self._stragglers: tuple["Device", ...] = ()
         self._drain_next()
 
     @property
@@ -549,7 +549,7 @@ class Device:
             phase(ev)
         if self._riders:
             riders = self._riders
-            self._riders = [(e, d) for e, d in riders if e is not ev]
+            self._riders = tuple((e, d) for e, d in riders if e is not ev)
             for e, dev in riders:
                 if e is ev:
                     dev._on_phase_event(ev)
@@ -573,11 +573,11 @@ class Device:
         if ev is not None:
             self._waiting_on = ev
             self._phase = getattr(self, src._phase.__name__)
-            src._riders.append((ev, self))
+            src._riders += ((ev, self),)
         elif not src._idle:
             # src is inside _complete (a kernel-done callback split us
             # off): drain right after it does.
-            src._stragglers.append(self)
+            src._stragglers += (self,)
 
     def _drain_next(self) -> None:
         """Pop and start the next kernel, or go idle until one arrives
@@ -678,7 +678,7 @@ class Device:
             done.succeed_inline(None)
         self._drain_next()
         if self._stragglers:
-            stragglers, self._stragglers = self._stragglers, []
+            stragglers, self._stragglers = self._stragglers, ()
             for dev in stragglers:
                 dev._drain_next()
 

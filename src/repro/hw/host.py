@@ -235,7 +235,7 @@ class Host:
                     # The mirrored slot becomes the part's own; it is
                     # released when the lane prep's hold ends.
                     part.holding = True
-                    state.riders.append(part)
+                    state.riders += (part,)
                 else:
                     host.cpu.request(True).add_callback(part.on_grant)  # repro: noqa[RPR005]
 
@@ -317,7 +317,7 @@ class _PrepState:
         self.finished = False
         self.mirrors = mirrors
         self.barrier = barrier
-        self.riders: list[_PrepState] = []
+        self.riders: tuple[_PrepState, ...] = ()
 
     def _settle(self, exc: Optional[BaseException]) -> None:
         self.finished = True
@@ -370,7 +370,7 @@ class _PrepState:
             self._settle(None)
         # else: aborted (crash) while holding; CPU already released there.
         if self.riders:
-            riders, self.riders = self.riders, []
+            riders, self.riders = self.riders, ()
             for part in riders:
                 part.on_done(ev)
 

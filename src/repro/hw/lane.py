@@ -79,23 +79,23 @@ class GangLane:
     def __init__(self, group: "DeviceGroup", devices: list[Device], hosts: list[Host]):
         if not devices:
             raise ValueError("a gang lane needs at least one device")
-        self.order = list(group.devices)
-        self.host_order = list(group.hosts)
-        self.devices = list(devices)
-        self.hosts = list(hosts)
+        self.order = group.devices
+        self.host_order = group.hosts
+        self.devices = devices
+        self.hosts = hosts
         self.sim = sim = devices[0].sim
-        for dev in self.devices:
+        for dev in devices:
             dev.lane = self
-        self.devices[0]._weight = len(self.devices)
-        for host in self.hosts:
+        devices[0]._weight = len(devices)
+        for host in hosts:
             host.lane = self
-            host.cpu.on_acquire = self._outside_cpu_use
-        #: Per-member accounting when it joined (sanitizer reference).
-        self._joined_at = {
-            dev.device_id: (dev.kernels_run, dev.kernels_aborted, dev.busy_us)
-            for dev in self.devices
-        }
+            host.cpu.on_acquire = self.split_hosts
         if sim.sanitize and sim.sanitizer is not None:
+            #: Per-member accounting when it joined (sanitizer reference).
+            self._joined_at = {
+                dev.device_id: (dev.kernels_run, dev.kernels_aborted, dev.busy_us)
+                for dev in devices
+            }
             sim.sanitizer.watch(self)
 
     @classmethod
@@ -103,8 +103,8 @@ class GangLane:
         """The lane of a freshly bound ``group``, or None.
 
         An overlapping bind breaks the lanes it touches: every device of
-        ``group`` leaves the lane it was in, and every host's lane hosts
-        expand.  The new lane takes the devices that are idle, healthy
+        ``group`` leaves the lane it was in, and the host side of any lane
+        holding one of its hosts expands.  The new lane takes the devices that are idle, healthy
         and have no queued HBM grant, and the hosts of those devices that
         are up with an idle CPU.  With fewer than two such devices there
         is nothing to share, and with fewer than two such hosts each host
@@ -200,7 +200,7 @@ class GangLane:
 
     def split_hosts(self) -> None:
         """Every lane host leaves, each taking its share of the lane's
-        in-flight preps (see :meth:`Host.prep_request`)."""
+        in-flight preps (see :meth:`Host.expand_lane_preps`)."""
         hosts = self.hosts
         if not hosts:
             return
@@ -209,9 +209,6 @@ class GangLane:
             host.lane = None
             host.cpu.on_acquire = None
         hosts[0].expand_lane_preps()
-
-    def _outside_cpu_use(self) -> None:
-        self.split_hosts()
 
     # -- sim-sanitizer ---------------------------------------------------------
     def _sanitizer_problems(self) -> list[tuple[str, str]]:

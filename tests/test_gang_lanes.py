@@ -22,7 +22,7 @@ from repro.core.input_pipeline import InputPipeline
 from repro.hw.cluster import ClusterSpec
 from repro.hw.device import Kernel
 from repro.resilience import FaultInjector, FaultSchedule, RecoveryManager
-from repro.sim import LaneDivergenceError, SimSanitizer, Simulator
+from repro.sim import LaneDivergenceError
 from repro.xla.computation import scalar_allreduce_add
 
 SPEC = ClusterSpec(islands=((2, 4),), name="lanes")
@@ -246,30 +246,35 @@ class TestLaneMechanics:
         assert all(not d.failed for d in new_group.lane.devices)
 
 
-def _bound_lane():
+@pytest.fixture
+def sanitized_lane(monkeypatch):
+    """A bound 8-device lane on a sanitizing simulator."""
+    monkeypatch.setenv("REPRO_SIM_SANITIZE", "1")
     system = PathwaysSystem.build(SPEC)
     vslice = system.make_virtual_device_set().add_slice(tpu_devices=8)
-    return system, vslice.group.lane
+    return system.sim, vslice.group.lane
 
 
 class TestLaneSanitizer:
-    def test_failed_device_left_in_a_lane_is_flagged(self):
-        _, lane = _bound_lane()
+    def test_failed_device_left_in_a_lane_is_flagged(self, sanitized_lane):
+        _, lane = sanitized_lane
         # Break the invariant directly: fail a member without the split.
         lane.devices[2].failed = True
         problems = lane._sanitizer_problems()
         assert any("failed device" in msg for _, msg in problems)
 
-    def test_diverged_member_accounting_is_flagged(self):
-        _, lane = _bound_lane()
+    def test_diverged_member_accounting_is_flagged(self, sanitized_lane):
+        _, lane = sanitized_lane
         lane.devices[1].kernels_run += 1
         problems = lane._sanitizer_problems()
         assert any("diverged" in msg for _, msg in problems)
 
-    def test_drain_sweep_raises_typed_error(self):
-        sanitizer = SimSanitizer()
-        _, lane = _bound_lane()
-        sanitizer.watch(lane)
+    def test_drain_sweep_raises_typed_error(self, sanitized_lane):
+        sim, lane = sanitized_lane
         lane.devices[4].kernels_aborted += 1
         with pytest.raises(LaneDivergenceError):
-            sanitizer.check_drained(Simulator())
+            sim.sanitizer.check_drained(sim)
+
+    def test_clean_lane_passes_the_drain_sweep(self, sanitized_lane):
+        sim, lane = sanitized_lane
+        assert lane._sanitizer_problems() == []
