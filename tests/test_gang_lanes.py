@@ -68,10 +68,11 @@ def _outcome(execution) -> tuple:
             getattr(cause, "host_id", None))
 
 
-def run_drill(faults: FaultSchedule, enqueues, split: bool) -> dict:
+def run_drill(faults: FaultSchedule, enqueues, split: bool, cpu_work=()) -> dict:
     """Three retrying 6-node chains over all 8 cores under ``faults``,
     plus direct kernels ``(at_us, device_id, duration_us)`` enqueued
-    from outside the gang."""
+    from outside the gang and host CPU work ``(at_us, host_id, work_us)``
+    from outside the lane."""
     system = PathwaysSystem.build(SPEC)
     sim = system.sim
     if split:
@@ -90,8 +91,14 @@ def run_drill(faults: FaultSchedule, enqueues, split: bool) -> dict:
         yield sim.timeout(at_us)
         system.cluster.device(device_id).enqueue(Kernel(sim, duration_us=duration_us))
 
+    def cpu_user(at_us, host_id, work_us):
+        yield sim.timeout(at_us)
+        yield from system.cluster.hosts[host_id].cpu.using(sim, work_us)
+
     for args in enqueues:
         sim.process(outsider(*args))
+    for args in cpu_work:
+        sim.process(cpu_user(*args))
     sim.run_until_triggered(sim.all_settled([e.finished for e in executions]))
     sim.run()
     return {
@@ -119,6 +126,10 @@ enqueues_st = st.lists(
     st.tuples(st.floats(0, 6_000), st.integers(0, 7), st.floats(0, 300)),
     max_size=2,
 )
+cpu_work_st = st.lists(
+    st.tuples(st.floats(0, 6_000), st.integers(0, 1), st.floats(0, 100)),
+    max_size=1,
+)
 
 
 def _schedule(faults) -> FaultSchedule:
@@ -132,21 +143,60 @@ def _schedule(faults) -> FaultSchedule:
 
 
 @settings(max_examples=25, deadline=None)
-@given(faults=faults_st, enqueues=enqueues_st)
-def test_lanes_match_split_simulation(faults, enqueues):
-    laned = run_drill(_schedule(faults), enqueues, split=False)
-    split = run_drill(_schedule(faults), enqueues, split=True)
+@given(faults=faults_st, enqueues=enqueues_st, cpu_work=cpu_work_st)
+def test_lanes_match_split_simulation(faults, enqueues, cpu_work):
+    laned = run_drill(_schedule(faults), enqueues, False, cpu_work)
+    split = run_drill(_schedule(faults), enqueues, True, cpu_work)
     assert laned == split
 
 
-def test_differential_covers_splits_mid_run():
-    """A fixed drill with every split kind: a follower fails, the
-    leader's host crashes, and an outside kernel lands on a member."""
-    faults = [("dev", 2_300.0, 5, 300.0), ("host", 3_100.0, 0, 800.0)]
-    enqueues = [(2_100.0, 2, 120.0), (3_500.0, 6, 50.0)]
-    laned = run_drill(_schedule(faults), enqueues, split=False)
-    assert laned == run_drill(_schedule(faults), enqueues, split=True)
+@pytest.mark.parametrize(
+    "faults, enqueues, cpu_work",
+    [
+        # Outside CPU work lands while lane preps queue on the leader
+        # host (the chains' preps start at ~1,482 us), then a follower
+        # fails, the leader's host crashes, and outside kernels land.
+        (
+            [("dev", 2_300.0, 5, 300.0), ("host", 3_100.0, 0, 800.0)],
+            [(2_100.0, 2, 120.0), (3_500.0, 6, 50.0)],
+            [(1_490.0, 1, 40.0)],
+        ),
+        # A follower host crashes while lane preps are queued.
+        ([("host", 1_495.0, 1, 500.0)], [], []),
+    ],
+)
+def test_differential_covers_splits_mid_run(faults, enqueues, cpu_work):
+    laned = run_drill(_schedule(faults), enqueues, False, cpu_work)
+    assert laned == run_drill(_schedule(faults), enqueues, True, cpu_work)
     assert sum(k for _, k, _, _ in laned["devices"]) > 0
+
+
+@pytest.mark.parametrize("member", [0, 5])
+def test_split_inside_a_kernel_completion(monkeypatch, member):
+    """A kernel-done callback (which runs inside the leader's completion)
+    enqueues onto the leader or a follower: the member leaves the lane
+    mid-completion and must drain right after the leader does."""
+    from repro.core.executor import NodeExecutor
+
+    on_done = NodeExecutor._on_kernel_done
+
+    def run(split: bool):
+        fired = []
+
+        def hooked(self, ev):
+            on_done(self, ev)
+            if not fired:
+                fired.append(True)
+                dev = self.node.group.devices[member]
+                dev.enqueue(Kernel(dev.sim, duration_us=30.0))
+
+        monkeypatch.setattr(NodeExecutor, "_on_kernel_done", hooked)
+        return run_drill(FaultSchedule(), [], split=split)
+
+    laned, split = run(False), run(True)
+    assert laned == split
+    runs = [k for _, k, _, _ in laned["devices"]]
+    assert runs[member] == runs[member - 1 if member else 1] + 1
 
 
 # -- lane mechanics -------------------------------------------------------------
