@@ -128,9 +128,8 @@ class GangLane:
 
     # -- the group's entry points ----------------------------------------
     def enqueue(self, kernel: Kernel) -> None:
-        """Append ``kernel`` to every device of the group, in group order."""
-        if kernel.collective is None:
-            raise ValueError("lane kernels are gang kernels: they need a collective")
+        """Append the gang kernel ``kernel`` (one with a collective) to
+        every device of the group, in group order."""
         members = self.devices
         if len(members) == len(self.order):
             members[0].enqueue(kernel, self)
@@ -163,8 +162,6 @@ class GangLane:
         member order; a member whose grant would queue leaves the lane
         and reserves on its own, in its group-order place.
         """
-        if nbytes < 0:
-            raise ValueError(f"negative allocation: {nbytes}")
         for dev in list(self.devices):
             if not dev.hbm.grant_now(nbytes):
                 self.split(dev)
