@@ -16,6 +16,7 @@ from repro.core.system import PathwaysSystem
 from repro.hw.cluster import ClusterSpec, config_c
 from repro.models.pipeline import PipelineBuilder
 from repro.models.transformer import DECODER_3B
+from repro.telemetry import Tracer
 from repro.trace import render_timeline
 
 BATCH_TOKENS = 2048 * 1024
@@ -25,7 +26,7 @@ PAPER_TOKENS_S = 131_400.0
 
 
 def run_config_c():
-    system = PathwaysSystem.build(config_c(), with_trace=True)
+    system = PathwaysSystem.build(config_c(), tracer=Tracer())
     builder = PipelineBuilder(
         system, DECODER_3B, 16, 64, 8, BATCH_TOKENS, EFFICIENCY,
         stage_islands=[s // 4 for s in range(16)], nominal_params=P3B,
@@ -61,7 +62,7 @@ def test_fig10_island_pipeline(benchmark):
     table.show()
 
     # One representative core per island: the pipeline wave + bubble.
-    trace = system_c.trace
+    trace = system_c.sim.tracer
     devices = [isl.devices[0].device_id for isl in system_c.cluster.islands]
     print("\npipeline trace (one core per island; A..=fwd/bwd kernels):")
     print(render_timeline(trace, width=110, devices=devices, legend=False))

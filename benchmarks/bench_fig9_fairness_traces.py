@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.harness import full_asserts, smoke_trim
+from repro.telemetry import Tracer
 from repro.trace import (
     interleave_granularity_us,
     program_share,
@@ -28,7 +29,7 @@ def run_fairness(wts):
     weights = {f"client{i}": w for i, w in enumerate(wts)}
     return run_pathways_multitenant(
         4, 2000.0, n_hosts=2, devices_per_host=8, iters_per_client=25,
-        weights=weights, with_trace=True, pipelined=True,
+        weights=weights, tracer=Tracer(), pipelined=True,
         scale_iters_by_weight=True,
     )
 
@@ -38,7 +39,7 @@ def run_all():
     utilization = {
         n: run_pathways_multitenant(
             n, 330.0, n_hosts=2, devices_per_host=8, iters_per_client=20,
-            with_trace=True, pipelined=True,
+            tracer=Tracer(), pipelined=True,
         )
         for n in UTIL_CLIENTS
     }
@@ -49,14 +50,14 @@ def test_fig9_fairness_traces(benchmark):
     fairness, utilization = benchmark.pedantic(run_all, rounds=1, iterations=1)
 
     for wts, res in fairness.items():
-        trace = res.system_handle.trace
-        lo, hi = trace.span()
+        trace = res.system_handle.sim.tracer
+        lo, hi = trace.extent("kernel")
         window = (lo + 0.1 * (hi - lo), lo + 0.8 * (hi - lo))
         shares = program_share(trace, window=window)
         total = sum(wts)
         ratio = ":".join(str(int(w)) for w in wts)
         print(f"\n== Figure 9: proportional share {ratio} ==")
-        print(render_timeline(trace, width=100, devices=trace.devices()[:4]))
+        print(render_timeline(trace, width=100, devices=range(4)))
         for i, w in enumerate(wts):
             measured = shares.get(f"step_client{i}_solo", 0.0)
             print(f"  client{i}: share {measured:.3f} (target {w/total:.3f})")
@@ -68,7 +69,7 @@ def test_fig9_fairness_traces(benchmark):
     print("\n== Figure 11: utilization vs concurrent clients (0.33 ms) ==")
     utils = {}
     for n, res in utilization.items():
-        u = utilization_by_device(res.system_handle.trace)
+        u = utilization_by_device(res.system_handle.sim.tracer)
         utils[n] = sum(u.values()) / len(u)
         print(f"  {n:3d} client(s): mean device utilization {utils[n]:.1%}")
     # A single client cannot saturate; many clients approach ~100%.

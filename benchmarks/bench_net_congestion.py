@@ -31,6 +31,7 @@ from repro.bench.harness import (
     Table, full_asserts, smoke_mode, smoke_trim, soft_timing,
 )
 from repro.config import DEFAULT_CONFIG
+from repro.testing.oracles import DenseFluidSolver
 from repro.workloads.netload import run_flow_fleet, run_net_congestion
 
 
@@ -258,8 +259,8 @@ def test_flow_scale_wall_clock_scoped_vs_dense():
     )
     runs = []
     for n in counts:
-        dense = run_flow_fleet(n_flows=n, fluid_solver="dense")
-        scoped = run_flow_fleet(n_flows=n, fluid_solver="scoped")
+        dense = run_flow_fleet(n_flows=n, fluid_solver=DenseFluidSolver)
+        scoped = run_flow_fleet(n_flows=n)
         # Byte-identity at every scale — the equivalence contract.
         assert scoped.deliveries == dense.deliveries, n
         assert scoped.fabric.idle and dense.fabric.idle, n
@@ -329,13 +330,9 @@ def test_fault_drills_match_under_both_solvers():
     for drill, kwargs in drills.items():
         base = _ECMP_CONFIG if drill == "spine" else DEFAULT_CONFIG
         dense = run_net_congestion(
-            config=base.with_overrides(fluid_solver="dense"),
-            **kwargs, **scale,
+            config=base, fluid_solver=DenseFluidSolver, **kwargs, **scale,
         )
-        scoped = run_net_congestion(
-            config=base.with_overrides(fluid_solver="scoped"),
-            **kwargs, **scale,
-        )
+        scoped = run_net_congestion(config=base, **kwargs, **scale)
         for r in (dense, scoped):
             assert r.fabric_idle and r.nic_slots_leaked == 0, (drill, r)
         # Same simulated story, down to the exact clock and byte counts.

@@ -13,6 +13,7 @@ Run:  python examples/multi_tenant.py
 
 from __future__ import annotations
 
+from repro.telemetry import Tracer
 from repro.trace import (
     interleave_granularity_us,
     program_share,
@@ -27,9 +28,9 @@ def saturation_demo() -> None:
     for n_clients in (1, 4, 16, 64):
         res = run_pathways_multitenant(
             n_clients, compute_time_us=330.0, n_hosts=4, devices_per_host=8,
-            iters_per_client=10, with_trace=True, pipelined=True,
+            iters_per_client=10, tracer=Tracer(), pipelined=True,
         )
-        util = utilization_by_device(res.system_handle.trace)
+        util = utilization_by_device(res.system_handle.sim.tracer)
         mean_util = sum(util.values()) / len(util)
         print(f"  {n_clients:3d} client(s): "
               f"{res.aggregate_computations_per_second:8.0f} computations/s, "
@@ -41,11 +42,11 @@ def fairness_demo() -> None:
     print("\n== Proportional share 1:2:4:8 between four clients ==")
     res = run_pathways_multitenant(
         4, compute_time_us=2000.0, n_hosts=2, devices_per_host=8,
-        iters_per_client=25, weights=weights, with_trace=True,
+        iters_per_client=25, weights=weights, tracer=Tracer(),
         pipelined=True, scale_iters_by_weight=True,
     )
-    trace = res.system_handle.trace
-    lo, hi = trace.span()
+    trace = res.system_handle.sim.tracer
+    lo, hi = trace.extent("kernel")
     window = (lo + 0.1 * (hi - lo), lo + 0.8 * (hi - lo))
     shares = program_share(trace, window=window)
     total = sum(weights.values())
@@ -57,7 +58,7 @@ def fairness_demo() -> None:
           f"{interleave_granularity_us(trace) / 1000:.2f} ms")
     print("\nPer-core timeline, 100 ms window (A/B/C/D = the four clients):")
     zoom = (window[0], window[0] + 100_000.0)
-    print(render_timeline(trace, width=100, devices=trace.devices()[:2], window=zoom))
+    print(render_timeline(trace, width=100, devices=range(2), window=zoom))
 
 
 def main() -> None:

@@ -6,8 +6,9 @@ simulation kernel (:mod:`repro.sim`), hardware model (:mod:`repro.hw`),
 XLA-like compiled functions (:mod:`repro.xla`), PLAQUE-like sharded
 dataflow (:mod:`repro.plaque`), the Pathways single-controller runtime
 (:mod:`repro.core`), baseline systems (:mod:`repro.baselines`),
-Transformer workload models (:mod:`repro.models`), and trace tooling
-(:mod:`repro.trace`).
+Transformer workload models (:mod:`repro.models`), and observability:
+one trace sink, :class:`repro.telemetry.Tracer`, whose spans (device
+kernel intervals included) the :mod:`repro.trace` timeline renders.
 
 Quick start::
 

@@ -181,15 +181,16 @@ def net_flow_scale(
     :func:`repro.bench.harness.soft_timing`).
     """
     from repro.bench.harness import soft_timing
+    from repro.testing.oracles import DenseFluidSolver
     from repro.workloads.netload import run_flow_fleet
 
     dense = run_flow_fleet(
         n_flows=n_flows, hosts=hosts, flow_bytes=flow_bytes,
-        arrival_window_us=arrival_window_us, fluid_solver="dense",
+        arrival_window_us=arrival_window_us, fluid_solver=DenseFluidSolver,
     )
     scoped = run_flow_fleet(
         n_flows=n_flows, hosts=hosts, flow_bytes=flow_bytes,
-        arrival_window_us=arrival_window_us, fluid_solver="scoped",
+        arrival_window_us=arrival_window_us,
     )
     speedup = dense.wall_s / scoped.wall_s if scoped.wall_s else 0.0
     scoped_touched = scoped.fabric.flows_touched_per_update
@@ -376,15 +377,15 @@ def fleet_speedup(
     reference and the speedup land in ``extra``.
     """
     from repro.bench.harness import soft_timing
+    from repro.testing.oracles import HeapTimerQueue
     from repro.workloads.fleet import run_fleet_telemetry
 
     heap = run_fleet_telemetry(
         n_cells, repeats=repeats, duration_us=duration_us,
-        timer_queue="heap", seed=seed,
+        timer_queue=HeapTimerQueue, seed=seed,
     )
     cal = run_fleet_telemetry(
-        n_cells, repeats=repeats, duration_us=duration_us,
-        timer_queue="calendar", seed=seed,
+        n_cells, repeats=repeats, duration_us=duration_us, seed=seed,
     )
     speedup = (
         cal.events_per_sec / heap.events_per_sec if heap.events_per_sec else 0.0

@@ -58,14 +58,6 @@ class SystemConfig:
     #: (processor sharing — concurrent flows split the link bandwidth)
     #: or "fifo" (strict arrival-order store-and-forward).
     net_link_sharing: str = "fair"
-    #: Which fluid fair-share engine drives "fair" flow progress:
-    #: "scoped" (incremental O(affected)-flow updates + completion
-    #: calendar) or "dense" (the reference O(all-flows)-per-change
-    #: engine).  None (default) defers to ``REPRO_NET_FLUID_SOLVER``,
-    #: falling back to "scoped".  Both engines produce byte-identical
-    #: schedules; the knob exists for A/B benching and regression
-    #: bisection (see ``repro.net.fabric``).
-    fluid_solver: Optional[str] = None
     #: Receiver-NIC ingress bandwidth; None mirrors the egress NIC.
     net_rx_bandwidth_gbps: Optional[float] = None
     #: Shared island uplink to the spine (all the island's cross-island

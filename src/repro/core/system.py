@@ -28,7 +28,6 @@ from repro.core.virtual_device import VirtualDeviceSet
 from repro.hw.cluster import Cluster, ClusterSpec, make_cluster
 from repro.hw.topology import Island
 from repro.sim import Simulator
-from repro.trace.events import TraceRecorder
 
 __all__ = ["DispatchMode", "PathwaysSystem"]
 
@@ -42,14 +41,12 @@ class PathwaysSystem:
         cluster: Cluster,
         config: SystemConfig = DEFAULT_CONFIG,
         policy: Optional[SchedulingPolicy] = None,
-        trace: Optional[TraceRecorder] = None,
         aggregate_threshold: int = 64,
         disjoint_aggregate_reps: bool = False,
     ):
         self.sim = sim
         self.cluster = cluster
         self.config = config
-        self.trace = trace
         self.resource_manager = ResourceManager(
             sim,
             cluster,
@@ -88,7 +85,6 @@ class PathwaysSystem:
         spec: ClusterSpec,
         config: SystemConfig = DEFAULT_CONFIG,
         policy: Optional[SchedulingPolicy] = None,
-        with_trace: bool = False,
         aggregate_threshold: int = 64,
         disjoint_aggregate_reps: bool = False,
         debug_names: bool = False,
@@ -101,22 +97,19 @@ class PathwaysSystem:
         :class:`~repro.sim.Simulator` (rich event names for debugging,
         and the golden-determinism schedule log, respectively).
         ``tracer`` attaches a :class:`repro.telemetry.Tracer` to the
-        simulator; unless ``with_trace`` asks for a dedicated kernel
-        recorder, the tracer also serves as the cluster's kernel-trace
-        sink (it duck-types ``TraceRecorder``), so device kernel
-        intervals join the same span stream.
+        simulator: the one trace sink, which also receives every device
+        kernel interval (``cat="kernel"`` spans, drawn by
+        :mod:`repro.trace`) at ``system.sim.tracer``.
         """
         sim = Simulator(
             debug_names=debug_names, log_schedule=log_schedule, tracer=tracer
         )
-        trace = TraceRecorder() if with_trace else tracer
-        cluster = make_cluster(sim, spec, config=config, trace=trace)
+        cluster = make_cluster(sim, spec, config=config)
         return PathwaysSystem(
             sim,
             cluster,
             config=config,
             policy=policy,
-            trace=trace,
             aggregate_threshold=aggregate_threshold,
             disjoint_aggregate_reps=disjoint_aggregate_reps,
         )
@@ -149,7 +142,6 @@ class PathwaysSystem:
             devices_per_host=devices_per_host,
             first_host_id=max((h.host_id for h in cluster.hosts), default=-1) + 1,
             first_device_id=max((d.device_id for d in cluster.devices), default=-1) + 1,
-            trace=self.trace,
         )
         cluster.islands.append(island)
         if policy is None:
@@ -160,11 +152,6 @@ class PathwaysSystem:
         )
         self.resource_manager.add_island(island)
         return island
-
-    def set_policy(self, policy: SchedulingPolicy) -> None:
-        self._default_policy = policy
-        for sched in self._schedulers.values():
-            sched.policy = policy
 
     def make_virtual_device_set(self) -> VirtualDeviceSet:
         return VirtualDeviceSet(self.resource_manager)
@@ -179,16 +166,8 @@ class PathwaysSystem:
         return client
 
     # -- execution helpers -----------------------------------------------
-    def run_until_idle(self, limit_us: Optional[float] = None) -> float:
-        """Drain the simulation; returns final time (µs)."""
-        return self.sim.run(until=limit_us)
-
     def mean_utilization(self) -> float:
         return self.cluster.mean_utilization()
-
-    # -- resilience --------------------------------------------------------
-    def healthy_device_count(self) -> int:
-        return sum(isl.n_healthy for isl in self.cluster.islands)
 
     # -- observability -----------------------------------------------------
     def stats(self):

@@ -67,7 +67,6 @@ class Cluster:
         sim: Simulator,
         spec: ClusterSpec,
         config: SystemConfig = DEFAULT_CONFIG,
-        trace=None,
     ):
         self.sim = sim
         self.spec = spec
@@ -88,7 +87,6 @@ class Cluster:
                 devices_per_host=per_host,
                 first_host_id=host_id,
                 first_device_id=device_id,
-                trace=trace,
             )
             self.islands.append(island)
             host_id += n_hosts
@@ -113,9 +111,6 @@ class Cluster:
         # runtime (elastic scale-up).
         return sum(isl.n_devices for isl in self.islands)
 
-    def island_of(self, device: Device) -> Island:
-        return self.islands[device.island_id]
-
     def device(self, device_id: int) -> Device:
         for isl in self.islands:
             base = isl.devices[0].device_id
@@ -134,7 +129,6 @@ def make_cluster(
     sim: Simulator,
     spec: ClusterSpec,
     config: SystemConfig = DEFAULT_CONFIG,
-    trace=None,
 ) -> Cluster:
     """Build a :class:`Cluster` for ``spec`` on the given simulator."""
-    return Cluster(sim, spec, config=config, trace=trace)
+    return Cluster(sim, spec, config=config)

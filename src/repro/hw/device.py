@@ -20,7 +20,7 @@ lockstep, so the simulator runs them once: while a device belongs to a
 :class:`~repro.hw.lane.GangLane` only the lane's *leader* runs the drain
 state machine below.  It joins each collective with the lane's member
 count as its weight and applies every member's ``busy_us``,
-``kernels_run``, ``kernels_aborted`` and trace records at the same
+``kernels_run``, ``kernels_aborted`` and kernel spans at the same
 instant, in member order, so per-device reads stay exact.  The first
 symmetry-breaking event on a member — its failure, a direct
 :meth:`Device.enqueue` from outside the lane, or an HBM grant that would
@@ -40,7 +40,6 @@ from repro.sim import Event, Simulator
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.hw.host import Host
     from repro.hw.lane import GangLane
-    from repro.trace.events import TraceRecorder
 
 __all__ = [
     "CollectiveRendezvous",
@@ -343,8 +342,8 @@ class Kernel:
     dependencies: the device *stalls at the head of its queue* until the
     gate fires (input buffers filled via RDMA), faithfully reproducing
     the non-preemptible stream semantics that make enqueue order matter.
-    ``done`` triggers at completion; ``tag`` and ``program`` feed the
-    trace recorder.
+    ``done`` triggers at completion; ``tag`` and ``program`` label the
+    kernel span recorded into ``sim.tracer``.
     """
 
     __slots__ = ("duration_us", "collective", "done", "tag", "program", "gate")
@@ -406,7 +405,6 @@ class Device:
         island_id: int,
         coords: tuple[int, int],
         host: Optional["Host"] = None,
-        trace: Optional["TraceRecorder"] = None,
     ):
         self.sim = sim
         self.config = config
@@ -414,7 +412,6 @@ class Device:
         self.island_id = island_id
         self.coords = coords
         self.host = host
-        self.trace = trace
         debug = sim.debug_names
         self.hbm = HbmAllocator(
             sim,
@@ -660,17 +657,14 @@ class Device:
         end = self.sim.now
         start = self._start_us
         span = end - start
-        for dev in self.lane.devices if self.lane is not None else (self,):
+        members = self.lane.devices if self.lane is not None else (self,)
+        for dev in members:
             dev.busy_us += span
             dev.kernels_run += 1
-            if dev.trace is not None:
-                dev.trace.record(
-                    device=dev.device_id,
-                    start=start,
-                    end=end,
-                    tag=kernel.tag,
-                    program=kernel.program,
-                )
+        tracer = self.sim.tracer
+        if tracer is not None:
+            for dev in members:
+                tracer.record(dev.device_id, start, end, kernel.tag, kernel.program)
         done = kernel.done
         if not done.triggered:
             # Gang-shared kernels complete once, inline (the callbacks

@@ -62,7 +62,6 @@ class Island:
         devices_per_host: int,
         first_host_id: int = 0,
         first_device_id: int = 0,
-        trace=None,
     ):
         if n_hosts < 1 or devices_per_host < 1:
             raise ValueError("island needs at least one host and one device per host")
@@ -85,7 +84,6 @@ class Island:
                     device_id=first_device_id + idx,
                     island_id=island_id,
                     coords=mesh.coords(idx),
-                    trace=trace,
                 )
                 host.attach(dev)
                 self.devices.append(dev)

@@ -39,24 +39,20 @@ Two serialization disciplines are supported (``net_link_sharing``):
 * ``"fifo"`` — store-and-forward: the message crosses hops one at a
   time, each hop serving one message at a time in arrival order.
 
-Two interchangeable engines drive the fluid model
-(``SystemConfig.fluid_solver`` / ``REPRO_NET_FLUID_SOLVER``; explicit
-config wins over the env var, default ``"scoped"``):
-
-* ``"scoped"`` — incremental: each link keeps the insertion-ordered set
-  of flows crossing it, so a membership change touches only the
-  *affected set* (flows sharing a link whose flow count changed), flow
-  progress integrates lazily per flow (work-remaining updated only when
-  that flow's rate changes), and projected completions live in a keyed
-  heap with lazy invalidation — O(affected · route + log F) per change.
-* ``"dense"`` — the reference engine: every membership change
-  recomputes every live flow's rate and min-scans all projected
-  completions, O(F) per change.
-
-Both engines share the same flow arithmetic and drive one cancellable
-:class:`~repro.sim.TimerHandle`, so they produce **byte-identical
-schedules** — not merely equal delivery times — on every scenario
-(``tests/test_fluid_solver.py`` pins this property).
+The fluid model runs on :class:`ScopedFluidSolver`, an incremental
+engine: each link keeps the insertion-ordered set of flows crossing it,
+so a membership change touches only the *affected set* (flows sharing a
+link whose flow count changed), flow progress integrates lazily per
+flow (work-remaining updated only when that flow's rate changes), and
+projected completions live in a keyed heap with lazy invalidation —
+O(affected · route + log F) per change.  Its reference,
+:class:`repro.testing.oracles.DenseFluidSolver`, recomputes every live
+flow's rate and min-scans all projected completions, O(F) per change;
+tests and the NET-F bench row install it into an idle fabric.  Both
+share the same flow arithmetic (:class:`_FluidSolver`) and drive one
+cancellable :class:`~repro.sim.TimerHandle`, so they produce
+**byte-identical schedules** — not merely equal delivery times — on
+every scenario (``tests/test_fluid_solver.py`` pins this property).
 
 Both disciplines support exact abort — an in-flight message whose
 endpoint host crashed releases all held capacity immediately, the
@@ -71,7 +67,6 @@ transparently.
 from __future__ import annotations
 
 import heapq
-import os
 import re
 import zlib
 from collections import deque
@@ -84,7 +79,7 @@ from repro.sim import Event, Simulator
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hw.host import Host
 
-__all__ = ["DenseFluidSolver", "Fabric", "Link", "ScopedFluidSolver"]
+__all__ = ["Fabric", "Link", "ScopedFluidSolver"]
 
 #: "Never finishes" sentinel for unrated flows' projected completion.
 _NEVER = float("inf")
@@ -363,8 +358,6 @@ class _FluidSolver:
     approximately equal (``tests/test_fluid_solver.py`` pins this).
     """
 
-    name = "base"
-
     def __init__(self, fabric: "Fabric"):
         self.fabric = fabric
         self.sim = fabric.sim
@@ -503,33 +496,6 @@ class _FluidSolver:
         raise NotImplementedError
 
 
-class DenseFluidSolver(_FluidSolver):
-    """The reference engine: O(F) recompute-everything per change.
-
-    Every membership change touches every live flow, and the next
-    completion is a min-scan over all of them — the shape the scoped
-    engine replaces.  Kept PR-6 style: the equivalence suite drives
-    both engines with identical scenarios and asserts byte-identical
-    results, and the NET-F bench measures the scoped win against it.
-    """
-
-    name = "dense"
-
-    def _membership_changed(self, routes, now: float) -> None:
-        self.membership_updates += 1
-        flows = self.flows
-        self.flows_touched += len(flows)
-        for flow in flows.values():
-            self._update_flow(flow, now)
-
-    def _collect_due(self, now: float) -> list[_Flow]:
-        # Registry order is start order: the completion tie-break.
-        return [f for f in self.flows.values() if f.finish_at <= now]
-
-    def _min_finish(self) -> float:
-        return min(f.finish_at for f in self.flows.values())
-
-
 class ScopedFluidSolver(_FluidSolver):
     """Scoped incremental engine: O(affected) updates + a completion
     calendar.
@@ -541,8 +507,6 @@ class ScopedFluidSolver(_FluidSolver):
     so the next-finish question is an O(log F) peek instead of a
     min-scan.
     """
-
-    name = "scoped"
 
     def __init__(self, fabric: "Fabric"):
         super().__init__(fabric)
@@ -613,14 +577,6 @@ class ScopedFluidSolver(_FluidSolver):
         self.calendar.clear()
 
 
-#: Fluid-engine registry for ``SystemConfig.fluid_solver`` /
-#: ``REPRO_NET_FLUID_SOLVER``.
-_FLUID_SOLVERS = {
-    "dense": DenseFluidSolver,
-    "scoped": ScopedFluidSolver,
-}
-
-
 class Fabric:
     """Topology-aware link set with static two-tier routes.
 
@@ -648,23 +604,8 @@ class Fabric:
         self._uplink_tx: dict[int, Link] = {}
         self._uplink_rx: dict[int, Link] = {}
         self._spines: list[Link] = []
-        # The fluid fair-share engine (explicit config beats env beats
-        # the scoped default — the timer-queue registry precedent).
-        # ``is None`` keeps the precedence exact: an explicit empty
-        # string is an unknown solver, not a fall-through to the env.
-        solver = config.fluid_solver
-        if solver is None:
-            solver = os.environ.get("REPRO_NET_FLUID_SOLVER", "scoped")
-        try:
-            solver_cls = _FLUID_SOLVERS[solver]
-        except KeyError:
-            raise ValueError(
-                f"unknown fluid_solver {solver!r}; "
-                f"expected one of {sorted(_FLUID_SOLVERS)}"
-            ) from None
-        #: Which fluid engine drives flow progress ("scoped" / "dense").
-        self.fluid_solver = solver
-        self._solver = solver_cls(self)
+        #: The fluid fair-share engine.
+        self._solver = ScopedFluidSolver(self)
         if sim.sanitize and sim.sanitizer is not None:
             sim.sanitizer.watch(self)
 
@@ -952,7 +893,6 @@ class Fabric:
         t = s.timer
         links = self.links()
         return FabricStats(
-            fluid_solver=self.fluid_solver,
             active_flows=len(s.flows),
             peak_concurrent_flows=s.peak_flows,
             flows_started=s.seq,

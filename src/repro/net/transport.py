@@ -29,7 +29,7 @@ Two cost models share the API:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Generator, Iterable, Optional, Sequence, TYPE_CHECKING
+from typing import Callable, Generator, Optional, Sequence, TYPE_CHECKING
 
 from repro.config import SystemConfig
 from repro.faults import FaultError
@@ -427,21 +427,6 @@ class Transport:
     def rpc(self, src: "Host", dst: "Host", nbytes: int = 256) -> Message:
         """A small control-plane message (scheduling, data handles)."""
         return self.send(src, dst, nbytes)
-
-    def bulk_transfer(
-        self, transfers: Iterable[tuple["Host", "Host", int]]
-    ) -> Event:
-        """Fire a batch of sends in parallel; fires when all delivered.
-
-        Fails fast with the first :class:`MessageLost` (callers that
-        need per-message outcomes should issue sends individually).
-        """
-        messages = [self.send(s, d, n) for s, d, n in transfers]
-        if not messages:
-            return self.sim.completed(None)
-        if len(messages) == 1:
-            return messages[0]
-        return self.sim.all_of(messages)
 
     def send_reliable(
         self,

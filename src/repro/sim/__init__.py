@@ -16,7 +16,6 @@ from repro.sim.engine import (
     CalendarTimerQueue,
     DeadlockError,
     Event,
-    HeapTimerQueue,
     Interrupt,
     Process,
     ProcessFailed,
@@ -46,7 +45,6 @@ __all__ = [
     "DeadlockError",
     "DoubleTriggerError",
     "Event",
-    "HeapTimerQueue",
     "Interrupt",
     "LaneDivergenceError",
     "LeakedCapacityError",

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import os
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional, Union
 
@@ -43,7 +42,6 @@ __all__ = [
     "DeadlockError",
     "DoubleTriggerError",
     "Event",
-    "HeapTimerQueue",
     "Interrupt",
     "PendingTimeoutReadError",
     "Process",
@@ -727,85 +725,6 @@ class Process(Event):
 _INF = float("inf")
 
 
-class HeapTimerQueue:
-    """The classic timer store: one global ``(time, seq, event)`` heap.
-
-    This is the baseline shape the calendar queue replaces (FTL-SIM's
-    ``event.py`` loop is exactly this).  It is kept for two reasons:
-
-    * **reference model** — the calendar-queue property tests drive both
-      implementations with identical push streams and assert identical
-      pop streams;
-    * **A/B benchmarking** — ``Simulator(timer_queue="heap")`` (or
-      ``REPRO_SIM_TIMER_QUEUE=heap``) lets the throughput bench measure
-      the calendar core against the heap core on the same workload.
-
-    Both implementations expose the same surface: ``push(when, seq,
-    event)``, ``pop() -> (when, seq, event)`` in exact ``(when, seq)``
-    order, ``discard(when, event)`` for cancelled :class:`TimerHandle`
-    shots, ``min_when`` (``inf`` when empty), and ``len``.
-
-    ``len``/``_len`` count **live** entries only.  Cancelled entries are
-    tombstones (``event._dead``): removed physically whenever they reach
-    the root — the exposed head is always live, so ``min_when`` always
-    names the earliest live entry (the drain loop orders the timer queue
-    against the zero-delay FIFO with it) — and skipped on contact
-    otherwise.
-    """
-
-    __slots__ = ("_heap", "_len", "_tombs", "min_when")
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Any]] = []
-        self._len = 0
-        #: Physically-present cancelled entries.  All tombstone sweeps
-        #: are gated on this, so queues that never see a ``discard``
-        #: (and property tests pushing raw payloads without a ``_dead``
-        #: attribute) never pay for — or even touch — the flag.
-        self._tombs = 0
-        #: Time of the earliest entry; ``inf`` when empty.  An attribute
-        #: rather than a method: the drain loop reads it per iteration.
-        self.min_when = _INF
-
-    def __len__(self) -> int:
-        return self._len
-
-    def push(self, when: float, seq: int, event: Any) -> None:
-        heapq.heappush(self._heap, (when, seq, event))
-        self._len += 1
-        if when < self.min_when:
-            self.min_when = when
-
-    def pop(self) -> tuple[float, int, Any]:
-        heap = self._heap
-        entry = heapq.heappop(heap)
-        self._len -= 1
-        if self._tombs:
-            while heap and heap[0][2]._dead:
-                heapq.heappop(heap)
-                self._tombs -= 1
-        self.min_when = heap[0][0] if heap else _INF
-        return entry
-
-    def discard(self, when: float, event: Any) -> None:
-        """Logically remove a cancelled entry (``event._dead`` already
-        set by the caller).  The root is removed physically — together
-        with any tombstones it was shadowing — so ``min_when`` stays
-        honest; a non-root entry is already covered by the live root
-        and is dropped lazily when a pop reaches it."""
-        self._len -= 1
-        heap = self._heap
-        if heap and heap[0][2] is event:
-            heapq.heappop(heap)
-            if self._tombs:
-                while heap and heap[0][2]._dead:
-                    heapq.heappop(heap)
-                    self._tombs -= 1
-            self.min_when = heap[0][0] if heap else _INF
-        else:
-            self._tombs += 1
-
-
 class CalendarTimerQueue:
     """A bucketed calendar queue over ``(time, seq, event)`` entries.
 
@@ -834,7 +753,9 @@ class CalendarTimerQueue:
     All resize decisions are pure functions of the pending population,
     so two identical runs resize identically.
 
-    The pop stream is byte-identical to :class:`HeapTimerQueue`'s: the
+    The pop stream is byte-identical to a ``(when, seq)`` binary heap's
+    (:class:`repro.testing.oracles.HeapTimerQueue`, the reference the
+    property tests drive it against): the
     bucket index is monotone in ``when``, every bucket entry precedes
     every overflow entry, and ties within a bucket resolve by ``seq``
     (sequence numbers are unique, so event objects are never compared).
@@ -874,7 +795,8 @@ class CalendarTimerQueue:
         #: the wheel window to the earliest entry — self-initializing.
         self._horizon = 0.0
         self._len = 0
-        #: Physically-present cancelled entries (see HeapTimerQueue).
+        #: Physically-present cancelled entries (``event._dead``
+        #: tombstones); every sweep is gated on this count.
         self._tombs = 0
         self.min_when = _INF
         #: Recycled (drained) bucket lists.  Bucket churn without a
@@ -1166,14 +1088,6 @@ class CalendarTimerQueue:
         self._overflow = keep
 
 
-#: Timer-queue registry for ``Simulator(timer_queue=...)`` /
-#: ``REPRO_SIM_TIMER_QUEUE``.
-_TIMER_QUEUES = {
-    "calendar": CalendarTimerQueue,
-    "heap": HeapTimerQueue,
-}
-
-
 class Simulator:
     """The event loop.
 
@@ -1195,11 +1109,9 @@ class Simulator:
 
     * ``_immediate`` — a FIFO of events triggered *at the current
       moment*; appended in trigger order, which **is** sequence order.
-    * ``_queue`` — a timer queue of ``(time, seq, event)`` for future
-      timeouts: a :class:`CalendarTimerQueue` by default, or the
-      reference :class:`HeapTimerQueue` via ``timer_queue="heap"`` /
-      ``REPRO_SIM_TIMER_QUEUE=heap``.  Both pop in identical
-      ``(time, seq)`` order, so schedules are byte-identical.
+    * ``_queue`` — a :class:`CalendarTimerQueue` of ``(time, seq,
+      event)`` for future timeouts.  (The reference binary heap it is
+      tested against lives in :mod:`repro.testing.oracles`.)
 
     Any timer entry with time equal to ``now`` was necessarily scheduled
     at an earlier moment (zero-delay scheduling never touches the timer
@@ -1216,7 +1128,6 @@ class Simulator:
         self,
         debug_names: bool = False,
         log_schedule: bool = False,
-        timer_queue: Optional[str] = None,
         sanitize: Optional[bool] = None,
         tracer=None,
     ) -> None:
@@ -1236,18 +1147,7 @@ class Simulator:
         self.sanitizer: Optional[SimSanitizer] = (
             SimSanitizer() if self.sanitize else None
         )
-        if timer_queue is None:
-            timer_queue = os.environ.get("REPRO_SIM_TIMER_QUEUE", "calendar")
-        try:
-            queue_cls = _TIMER_QUEUES[timer_queue]
-        except KeyError:
-            raise ValueError(
-                f"unknown timer_queue {timer_queue!r}; "
-                f"expected one of {sorted(_TIMER_QUEUES)}"
-            ) from None
-        #: Which timer-queue implementation backs this simulator.
-        self.timer_queue = timer_queue
-        self._queue = queue_cls()
+        self._queue = CalendarTimerQueue()
         self._immediate: deque = deque()
         self._seq = 0
         # Insertion-ordered (dict-as-set): deadlock reports and the
@@ -1386,14 +1286,6 @@ class Simulator:
         return Settled(self, events)
 
     # -- scheduling --------------------------------------------------------
-    def _schedule_event(self, event: Event, delay: float = 0.0) -> None:
-        """Back-compat scheduling entry point (hot paths append to
-        ``_immediate`` / call :meth:`_schedule_at` directly)."""
-        if delay == 0.0:
-            self._immediate.append(event)
-        else:
-            self._schedule_at(event, delay)
-
     def _schedule_at(self, event: Event, delay: float) -> None:
         when = self._now + delay
         if when <= self._now:
@@ -1405,26 +1297,6 @@ class Simulator:
             self._queue.push(when, self._seq, event)
 
     # -- execution -----------------------------------------------------
-    def step(self) -> None:
-        """Process the single next event."""
-        immediate = self._immediate
-        queue = self._queue
-        if queue._len and (not immediate or queue.min_when <= self._now):
-            when, _, event = queue.pop()
-            self._now = when
-        else:
-            event = immediate.popleft()
-        self.events_processed += 1
-        if self.schedule_log is not None:
-            self.schedule_log.append((self._now, event.name))
-        event._process_callbacks()
-
-    def _next_time(self) -> float:
-        """Time of the next event; caller guarantees one exists."""
-        if self._immediate:
-            return self._now
-        return self._queue.min_when
-
     def _drain(self, until: Optional[float], waited: Optional[Event]) -> bool:
         """The one drain loop behind :meth:`run` and
         :meth:`run_until_triggered`.
@@ -1541,5 +1413,4 @@ class Simulator:
             pending_timers=self._queue._len,
             immediate_depth=len(self._immediate),
             live_processes=len(self._live_processes),
-            timer_queue=self.timer_queue,
         )

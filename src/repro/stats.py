@@ -81,8 +81,6 @@ class SimStats(Stats):
     immediate_depth: int
     #: Live (unfinished) processes, daemons included.
     live_processes: int
-    #: Active timer-queue implementation ("calendar" or "heap").
-    timer_queue: str
 
 
 @dataclass(frozen=True)
@@ -111,8 +109,6 @@ class FabricStats(Stats):
     assert after fault drills.
     """
 
-    #: Engine name: "scoped" or "dense".
-    fluid_solver: str
     active_flows: int
     peak_concurrent_flows: int
     flows_started: int

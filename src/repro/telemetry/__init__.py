@@ -6,9 +6,9 @@ Three cooperating parts over one span stream:
   program-scoped spans captured passively through the serve frontend,
   scheduler, dispatch, ``repro.net``, and resilience layers; exported
   as Chrome-trace/Perfetto JSON, analyzed by the critical-path CLI
-  (``python -m repro.telemetry critpath``), and rendered by the
-  existing ``repro.trace`` ASCII timeline via
-  :meth:`Tracer.to_trace_recorder`.
+  (``python -m repro.telemetry critpath``).  The tracer is the one
+  trace sink: device kernel intervals land in it as ``kernel`` spans,
+  which the ``repro.trace`` ASCII timeline renders.
 * **Metrics registry** (:class:`MetricsRegistry`,
   :class:`MetricsSampler`) — counters/gauges/probes/histograms sampled
   on a sim-time ticker into exportable time-series.

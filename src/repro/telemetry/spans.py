@@ -2,9 +2,11 @@
 
 A :class:`Tracer` is attached to the :class:`~repro.sim.Simulator`
 (``Simulator(tracer=...)`` or via ``PathwaysSystem.build(tracer=...)``)
-and collects :class:`Span` records from instrumentation sites across
-the serve frontend, scheduler, dispatch, ``repro.net``, and resilience
-layers.  Two properties are load-bearing:
+and is the simulator's one trace sink: it collects :class:`Span`
+records from instrumentation sites across the serve frontend,
+scheduler, dispatch, ``repro.net``, and resilience layers, and every
+device kernel interval as a ``cat="kernel"`` span.  Two properties are
+load-bearing:
 
 * **schedule-neutral** — capture is a passive append that reads
   ``sim.now``; the tracer never creates events, timers, or processes,
@@ -18,9 +20,8 @@ layers.  Two properties are load-bearing:
 Spans export as Chrome-trace/Perfetto JSON (:meth:`Tracer.to_chrome_trace`)
 — load the file in ``ui.perfetto.dev`` or ``chrome://tracing`` — and the
 same span stream feeds the critical-path analyzer
-(:mod:`repro.telemetry.critpath`) and, through
-:meth:`Tracer.to_trace_recorder`, the existing ``repro.trace`` ASCII
-timeline (one renderer among several over the stream).
+(:mod:`repro.telemetry.critpath`) and the :mod:`repro.trace` ASCII
+timeline and utilization/share renderers, which read the kernel spans.
 """
 
 from __future__ import annotations
@@ -215,13 +216,13 @@ class Tracer:
         finally:
             self.end(opened)
 
-    # -- kernel feed (TraceRecorder-compatible) ---------------------------
+    # -- kernel feed -------------------------------------------------------
     def record(
         self, device: int, start: float, end: float, tag: str = "", program: str = ""
     ) -> None:
-        """Duck-types :class:`repro.trace.TraceRecorder` so a tracer can
-        be handed to the cluster as its kernel recorder — device kernel
-        intervals then land in the same span stream."""
+        """One device kernel interval, as a ``kernel`` span on the
+        device's track (``Device`` calls this at each completion, once
+        per gang-lane member)."""
         if not self.enabled:
             return
         self._append(
@@ -239,25 +240,16 @@ class Tracer:
     def by_cat(self, cat: str) -> list[Span]:
         return [s for s in self.spans if s.cat == cat]
 
+    def extent(self, cat: str) -> tuple[float, float]:
+        """(earliest start, latest end) over the closed spans of ``cat``;
+        ``(0.0, 0.0)`` when there are none."""
+        spans = [s for s in self.spans if s.cat == cat and s.end_us is not None]
+        if not spans:
+            return (0.0, 0.0)
+        return (min(s.start_us for s in spans), max(s.end_us for s in spans))
+
     def clear(self) -> None:
         self.spans.clear()
-
-    def to_trace_recorder(self):
-        """The ``repro.trace`` view: kernel-category spans as a
-        :class:`~repro.trace.TraceRecorder`, so ``render_timeline`` (the
-        ASCII figure renderer) draws straight off the span stream."""
-        from repro.trace.events import TraceRecorder
-
-        rec = TraceRecorder()
-        for s in self.by_cat("kernel"):
-            rec.record(
-                device=s.args["device"] if s.args else 0,
-                start=s.start_us,
-                end=s.end_us if s.end_us is not None else s.start_us,
-                tag=s.name,
-                program=(s.args or {}).get("program", ""),
-            )
-        return rec
 
     # -- Chrome-trace / Perfetto export -----------------------------------
     def to_chrome_trace(self) -> dict:

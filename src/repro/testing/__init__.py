@@ -1,5 +1,8 @@
 """Test-support helpers shared by the tests/ and benchmarks/ conftests.
 
+The reference engines the shipping engines are tested and benched
+against live in :mod:`repro.testing.oracles`.
+
 Fault-path degradations in :mod:`repro.resilience` (dropped preemption
 notices, missed drain deadlines, undrainable islands) emit
 ``UserWarning``s.  Many of them fire inside daemon simulation processes

@@ -1,14 +1,15 @@
-"""Execution tracing and timeline rendering.
+"""Timeline rendering and analysis over a tracer's kernel spans.
 
-Records per-device kernel executions and renders the ASCII equivalents of
-the paper's trace figures (Figures 9-12): per-core timelines showing
-gang-scheduled interleaving of concurrent programs, pipeline bubbles, and
-DCN-overlapped transfers.  Also computes the quantitative summaries the
-figures support: utilization, proportional-share ratios, and interleave
-granularity.
+Every device kernel interval lands in the simulator's
+:class:`~repro.telemetry.Tracer` (the one trace sink) as a
+``cat="kernel"`` span.  This package reads those spans: it renders the
+ASCII equivalents of the paper's trace figures (Figures 9-12) — per-core
+timelines showing gang-scheduled interleaving of concurrent programs,
+pipeline bubbles, and DCN-overlapped transfers — and computes the
+quantitative summaries the figures support: utilization,
+proportional-share ratios, and interleave granularity.
 """
 
-from repro.trace.events import TraceEvent, TraceRecorder
 from repro.trace.timeline import (
     interleave_granularity_us,
     program_share,
@@ -17,8 +18,6 @@ from repro.trace.timeline import (
 from repro.trace.render import render_timeline
 
 __all__ = [
-    "TraceEvent",
-    "TraceRecorder",
     "interleave_granularity_us",
     "program_share",
     "render_timeline",

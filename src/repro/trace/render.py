@@ -3,15 +3,19 @@
 Each device is one row; time is bucketed into fixed-width columns.  A
 bucket shows the symbol of the program that used the most device time in
 it, ``.`` if idle.  Programs are assigned symbols in first-seen order
-(``A``, ``B``, ...), or by an explicit mapping.
+(``A``, ``B``, ...).  The input is a :class:`~repro.telemetry.Tracer`'s
+``kernel`` spans.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TYPE_CHECKING
 
-from repro.trace.events import TraceRecorder
+from repro.trace.timeline import kernel_intervals
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.telemetry.spans import Tracer
 
 __all__ = ["render_timeline"]
 
@@ -19,17 +23,21 @@ _SYMBOLS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789"
 
 
 def render_timeline(
-    trace: TraceRecorder,
+    tracer: "Tracer",
     width: int = 100,
     devices: Optional[Sequence[int]] = None,
     window: Optional[tuple[float, float]] = None,
     legend: bool = True,
 ) -> str:
-    """Render the trace as an ASCII chart, one row per device."""
-    lo, hi = window if window is not None else trace.span()
+    """Render the kernel spans as an ASCII chart, one row per device."""
+    lo, hi = window if window is not None else tracer.extent("kernel")
     if hi <= lo:
         return "(empty trace)"
-    devs = list(devices) if devices is not None else trace.devices()
+    kernels = kernel_intervals(tracer)
+    devs = (
+        list(devices) if devices is not None
+        else sorted({dev for dev, _, _, _ in kernels})
+    )
     bucket_us = (hi - lo) / width
 
     symbol_of: dict[str, str] = {}
@@ -44,17 +52,17 @@ def render_timeline(
         dev: [defaultdict(float) for _ in range(width)] for dev in devs
     }
     devset = set(devs)
-    for ev in trace.events:
-        if ev.device not in devset:
+    for dev, start, end, program in kernels:
+        if dev not in devset:
             continue
-        first = max(0, int((ev.start - lo) / bucket_us))
-        last = min(width - 1, int((ev.end - lo) / bucket_us))
+        first = max(0, int((start - lo) / bucket_us))
+        last = min(width - 1, int((end - lo) / bucket_us))
         for b in range(first, last + 1):
             b_lo = lo + b * bucket_us
             b_hi = b_lo + bucket_us
-            overlap = min(ev.end, b_hi) - max(ev.start, b_lo)
+            overlap = min(end, b_hi) - max(start, b_lo)
             if overlap > 0:
-                busy[ev.device][b][ev.program or "?"] += overlap
+                busy[dev][b][program or "?"] += overlap
 
     lines: list[str] = []
     header = f"t = [{lo:.0f}us .. {hi:.0f}us], {bucket_us:.1f}us/col"

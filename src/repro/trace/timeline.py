@@ -5,15 +5,17 @@ per-device utilization (Figure 11: "using multiple clients increases the
 device utilization to ~100%"), per-program device-time shares (Figure 9:
 proportional-share ratios 1:1:1:1 and 1:2:4:8), and the granularity at
 which concurrent programs interleave (Figure 11: "interleaved at a
-millisecond scale or less").
+millisecond scale or less").  Each reads the ``kernel`` spans of a
+:class:`~repro.telemetry.Tracer`.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Optional
+from typing import Optional, TYPE_CHECKING
 
-from repro.trace.events import TraceRecorder
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.telemetry.spans import Tracer
 
 __all__ = [
     "interleave_granularity_us",
@@ -22,23 +24,34 @@ __all__ = [
 ]
 
 
+def kernel_intervals(tracer: "Tracer") -> list[tuple[int, float, float, str]]:
+    """``(device, start, end, program)`` of every kernel span, in
+    recording order."""
+    return [
+        (s.args["device"], s.start_us, s.end_us, s.args["program"])
+        for s in tracer.by_cat("kernel")
+    ]
+
+
 def utilization_by_device(
-    trace: TraceRecorder, window: Optional[tuple[float, float]] = None
+    tracer: "Tracer", window: Optional[tuple[float, float]] = None
 ) -> dict[int, float]:
-    """Busy fraction per device over ``window`` (default: trace span)."""
-    lo, hi = window if window is not None else trace.span()
+    """Busy fraction per device over ``window`` (default: kernel extent)."""
+    kernels = kernel_intervals(tracer)
+    devices = sorted({dev for dev, _, _, _ in kernels})
+    lo, hi = window if window is not None else tracer.extent("kernel")
     if hi <= lo:
-        return {dev: 0.0 for dev in trace.devices()}
+        return {dev: 0.0 for dev in devices}
     busy: dict[int, float] = defaultdict(float)
-    for ev in trace.events:
-        overlap = min(ev.end, hi) - max(ev.start, lo)
+    for dev, start, end, _ in kernels:
+        overlap = min(end, hi) - max(start, lo)
         if overlap > 0:
-            busy[ev.device] += overlap
-    return {dev: busy[dev] / (hi - lo) for dev in trace.devices()}
+            busy[dev] += overlap
+    return {dev: busy[dev] / (hi - lo) for dev in devices}
 
 
 def program_share(
-    trace: TraceRecorder, window: Optional[tuple[float, float]] = None
+    tracer: "Tracer", window: Optional[tuple[float, float]] = None
 ) -> dict[str, float]:
     """Fraction of total device-time consumed by each program.
 
@@ -46,40 +59,39 @@ def program_share(
     target weights 1:2:4:8, the returned shares should be ~1/15, 2/15,
     4/15, 8/15.
     """
-    lo, hi = window if window is not None else trace.span()
+    lo, hi = window if window is not None else tracer.extent("kernel")
     time_by_program: dict[str, float] = defaultdict(float)
     total = 0.0
-    for ev in trace.events:
-        overlap = min(ev.end, hi) - max(ev.start, lo)
-        if overlap > 0 and ev.program:
-            time_by_program[ev.program] += overlap
+    for _, start, end, program in kernel_intervals(tracer):
+        overlap = min(end, hi) - max(start, lo)
+        if overlap > 0 and program:
+            time_by_program[program] += overlap
             total += overlap
     if total == 0:
         return {}
     return {prog: t / total for prog, t in sorted(time_by_program.items())}
 
 
-def interleave_granularity_us(trace: TraceRecorder, device: Optional[int] = None) -> float:
+def interleave_granularity_us(tracer: "Tracer", device: Optional[int] = None) -> float:
     """Mean length of a same-program run before the device switches program.
 
     Small values mean fine-grained time-multiplexing (the paper reports
     millisecond scale or less for 4-16 concurrent clients).
     """
-    devices = [device] if device is not None else trace.devices()
+    by_device: dict[int, list[tuple[float, float, str]]] = defaultdict(list)
+    for dev, start, end, program in kernel_intervals(tracer):
+        if device is None or dev == device:
+            by_device[dev].append((start, end, program))
     run_lengths: list[float] = []
-    for dev in devices:
-        events = sorted(trace.for_device(dev), key=lambda ev: ev.start)
-        if not events:
-            continue
-        run_start = events[0].start
-        run_prog = events[0].program
-        run_end = events[0].end
-        for ev in events[1:]:
-            if ev.program == run_prog:
-                run_end = ev.end
+    for dev in sorted(by_device):
+        events = sorted(by_device[dev], key=lambda ev: ev[0])
+        run_start, run_end, run_prog = events[0]
+        for start, end, program in events[1:]:
+            if program == run_prog:
+                run_end = end
             else:
                 run_lengths.append(run_end - run_start)
-                run_start, run_prog, run_end = ev.start, ev.program, ev.end
+                run_start, run_end, run_prog = start, end, program
         run_lengths.append(run_end - run_start)
     if not run_lengths:
         return 0.0

@@ -41,6 +41,7 @@ from typing import Optional
 
 from repro.hw.cluster import ClusterSpec, config_c
 from repro.sim import Simulator
+from repro.testing.oracles import use_timer_queue
 
 __all__ = ["FleetResult", "run_fleet_telemetry"]
 
@@ -67,11 +68,10 @@ class FleetResult:
     #: Wall seconds per repeat, worst to diagnose variance.
     repeat_wall_s: tuple = field(default_factory=tuple)
     #: Events per repeat window — machine-independent; identical across
-    #: timer-queue cores by the determinism guarantee.
+    #: timer-queue engines by the determinism guarantee.
     repeat_events: tuple = field(default_factory=tuple)
     #: Setup + warmup wall seconds (excluded from the measurement).
     setup_wall_s: float = 0.0
-    timer_queue: str = "calendar"
     system_handle: object = None
 
     @property
@@ -95,7 +95,7 @@ def run_fleet_telemetry(
     duration_us: float = 20_000.0,
     warmup_us: float = 5_000.0,
     repeats: int = 1,
-    timer_queue: Optional[str] = None,
+    timer_queue: Optional[type] = None,
     manage_gc: bool = True,
     seed: int = 12345,
 ) -> FleetResult:
@@ -114,12 +114,18 @@ def run_fleet_telemetry(
     count, so the reported ``sim_events`` is machine-independent no
     matter which repeat wins on wall time — the property the sweep
     merge determinism test and the CI event-count gate rely on.
+
+    ``timer_queue`` installs a reference engine class (for instance
+    :class:`repro.testing.oracles.HeapTimerQueue`) in place of the
+    calendar queue before any timer is armed.
     """
     if n_cells < 1:
         raise ValueError(f"n_cells must be >= 1, got {n_cells}")
     cell = cell if cell is not None else config_c()
     setup_t0 = time.perf_counter()
-    sim = Simulator(timer_queue=timer_queue)
+    sim = Simulator()
+    if timer_queue is not None:
+        use_timer_queue(sim, timer_queue)
     ticks = [0]
 
     def scrape(_ticker) -> None:
@@ -193,6 +199,5 @@ def run_fleet_telemetry(
         repeat_wall_s=tuple(w for _, w in measured),
         repeat_events=tuple(e for e, _ in measured),
         setup_wall_s=setup_wall_s,
-        timer_queue=sim.timer_queue,
         system_handle=sim,
     )

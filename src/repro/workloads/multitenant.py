@@ -7,8 +7,9 @@ of one island, through the shared Pathways schedulers/executors.
 share each host's Python dispatch thread (serialized) and enqueue to the
 same devices.
 
-Both return aggregate computations/second; the Pathways runner can also
-return the trace and per-client counts for the fairness figures.
+Both return aggregate computations/second; the Pathways runner also
+returns per-client counts and, when given a ``tracer``, records every
+kernel into it for the fairness figures.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.core.system import PathwaysSystem
 from repro.hw.cluster import ClusterSpec, make_cluster
 from repro.hw.device import CollectiveRendezvous, Kernel
 from repro.sim import Resource, Simulator
+from repro.telemetry import Tracer
 from repro.xla.computation import scalar_allreduce_add
 
 __all__ = [
@@ -38,7 +40,7 @@ class MultitenantResult:
     compute_time_us: float
     aggregate_computations_per_second: float
     per_client_completed: dict[str, int]
-    system_handle: Optional[PathwaysSystem] = None  # for trace rendering
+    system_handle: Optional[PathwaysSystem] = None  # sim.tracer: the trace
 
 
 def _spec(n_hosts: int, devices_per_host: int) -> ClusterSpec:
@@ -54,7 +56,7 @@ def run_pathways_multitenant(
     config: SystemConfig = DEFAULT_CONFIG,
     policy: Optional[SchedulingPolicy] = None,
     weights: Optional[dict[str, float]] = None,
-    with_trace: bool = False,
+    tracer: Optional[Tracer] = None,
     aggregate_threshold: int = 64,
     pipelined: bool = False,
     max_in_flight: int = 6,
@@ -75,7 +77,7 @@ def run_pathways_multitenant(
         _spec(n_hosts, devices_per_host),
         config=config,
         policy=policy,
-        with_trace=with_trace,
+        tracer=tracer,
         aggregate_threshold=aggregate_threshold,
     )
     n_devices = n_hosts * devices_per_host

@@ -34,6 +34,7 @@ from repro.core.system import PathwaysSystem
 from repro.hw.cluster import ClusterSpec
 from repro.net import MessageLost
 from repro.resilience import FaultInjector, FaultSchedule, RecoveryManager
+from repro.testing.oracles import use_fluid_solver
 from repro.xla.computation import CompiledFunction
 from repro.xla.shapes import TensorSpec
 
@@ -176,6 +177,7 @@ def run_net_congestion(
     debug_names: bool = False,
     log_schedule: bool = False,
     tracer=None,
+    fluid_solver: Optional[type] = None,
 ) -> NetCongestionResult:
     """Two islands; bulk senders on island 0 push to island 1 while a
     probe tenant dispatches cross-island programs.
@@ -191,6 +193,10 @@ def run_net_congestion(
     ``spine_paths >= 2`` the drill exercises ECMP reroute-on-failure:
     surviving flows rehash onto the remaining paths and no message whose
     endpoints are alive is lost.
+
+    ``fluid_solver`` installs a reference engine class (for instance
+    :class:`repro.testing.oracles.DenseFluidSolver`) before any flow
+    starts.
     """
     if n_senders > hosts_per_island:
         raise ValueError(
@@ -213,6 +219,8 @@ def run_net_congestion(
         log_schedule=log_schedule,
         tracer=tracer,
     )
+    if fluid_solver is not None:
+        use_fluid_solver(system.cluster.fabric, fluid_solver)
     recovery = RecoveryManager(system, detection_us=200.0)
     sim = system.sim
     transport = system.transport
@@ -346,8 +354,6 @@ class FlowFleetResult:
     """Outcome of one flow-fleet run."""
 
     n_flows: int
-    #: Which fluid engine ran the fabric ("scoped" or "dense").
-    fluid_solver: str
     #: Max flows simultaneously live on the fabric (from ``FabricStats``).
     peak_concurrent_flows: int
     elapsed_us: float
@@ -380,7 +386,7 @@ def run_flow_fleet(
     devices_per_host: int = 1,
     flow_bytes: int = 1 << 20,
     arrival_window_us: float = 1_000.0,
-    fluid_solver: Optional[str] = None,
+    fluid_solver: Optional[type] = None,
     config: SystemConfig = DEFAULT_CONFIG,
     debug_names: bool = False,
 ) -> FlowFleetResult:
@@ -400,14 +406,16 @@ def run_flow_fleet(
     is the best case for scoped *and* the honest one: real fleets
     spread traffic across many endpoint pairs rather than converging
     on one bottleneck.  ``deliveries`` carries the exact per-flow
-    delivery times for cross-solver equality checks.
+    delivery times for cross-solver equality checks; ``fluid_solver``
+    installs a reference engine class (for instance
+    :class:`repro.testing.oracles.DenseFluidSolver`) before any flow
+    starts.
     """
     if hosts < 2 or hosts % 2:
         raise ValueError(f"hosts must be even and >= 2, got {hosts}")
     config = config.with_overrides(
         net_contention=True,
         net_link_sharing="fair",
-        **({"fluid_solver": fluid_solver} if fluid_solver else {}),
     )
     t0 = time.perf_counter()
     system = PathwaysSystem.build(
@@ -416,6 +424,8 @@ def run_flow_fleet(
         debug_names=debug_names,
     )
     sim = system.sim
+    if fluid_solver is not None:
+        use_fluid_solver(system.cluster.fabric, fluid_solver)
     island_hosts = system.cluster.islands[0].hosts
     n_pairs = hosts // 2
     deliveries = [0.0] * n_flows
@@ -442,7 +452,6 @@ def run_flow_fleet(
     fabric = system.transport.stats().fabric
     return FlowFleetResult(
         n_flows=n_flows,
-        fluid_solver=fabric.fluid_solver,
         peak_concurrent_flows=fabric.peak_concurrent_flows,
         elapsed_us=sim.now,
         events=sim.stats().events_processed,

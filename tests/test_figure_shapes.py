@@ -170,16 +170,17 @@ class TestFigure8Shapes:
 
 class TestFigure9Shapes:
     def test_proportional_share_enforced(self):
+        from repro.telemetry import Tracer
         from repro.trace import program_share
 
         weights = {f"client{i}": w for i, w in enumerate([1.0, 2.0, 4.0, 8.0])}
         res = run_pathways_multitenant(
             4, 2000.0, n_hosts=2, devices_per_host=8, iters_per_client=20,
-            weights=weights, with_trace=True, pipelined=True,
+            weights=weights, tracer=Tracer(), pipelined=True,
             scale_iters_by_weight=True,
         )
-        trace = res.system_handle.trace
-        lo, hi = trace.span()
+        trace = res.system_handle.sim.tracer
+        lo, hi = trace.extent("kernel")
         shares = program_share(trace, window=(lo + 0.1 * (hi - lo), lo + 0.8 * (hi - lo)))
         total = sum([1, 2, 4, 8])
         for i, w in enumerate([1, 2, 4, 8]):
@@ -187,11 +188,12 @@ class TestFigure9Shapes:
             assert measured == pytest.approx(w / total, abs=0.05)
 
     def test_interleaving_at_millisecond_scale(self):
+        from repro.telemetry import Tracer
         from repro.trace import interleave_granularity_us
 
         res = run_pathways_multitenant(
             4, 330.0, n_hosts=2, devices_per_host=8, iters_per_client=20,
-            with_trace=True, pipelined=True,
+            tracer=Tracer(), pipelined=True,
         )
-        g = interleave_granularity_us(res.system_handle.trace)
+        g = interleave_granularity_us(res.system_handle.sim.tracer)
         assert g <= 2_000.0  # "a millisecond scale or less"

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.sim import CalendarTimerQueue
+from repro.testing.oracles import HeapTimerQueue
 from repro.workloads.fleet import run_fleet_telemetry
 
 
@@ -40,10 +42,10 @@ def test_windows_hold_identical_event_counts():
 
 
 def test_same_seed_same_schedule_across_cores():
-    heap = tiny(timer_queue="heap")
-    cal = tiny(timer_queue="calendar")
-    assert heap.timer_queue == "heap"
-    assert cal.timer_queue == "calendar"
+    heap = tiny(timer_queue=HeapTimerQueue)
+    cal = tiny()
+    assert type(heap.system_handle._queue) is HeapTimerQueue
+    assert type(cal.system_handle._queue) is CalendarTimerQueue
     assert heap.repeat_events == cal.repeat_events
     assert heap.ticks == cal.ticks
 

@@ -21,10 +21,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import SystemConfig
-from repro.net.fabric import Fabric
+from repro.net.fabric import Fabric, ScopedFluidSolver
 from repro.sim import Simulator
 from repro.stats import FabricStats
+from repro.testing.oracles import DenseFluidSolver, use_fluid_solver
 from repro.workloads.netload import run_flow_fleet, run_net_congestion
+
+#: Both engines, with the test ids the two suites share.
+_SOLVERS = pytest.mark.parametrize(
+    "solver", [DenseFluidSolver, ScopedFluidSolver], ids=["dense", "scoped"]
+)
 
 #: Two islands x 4 hosts: intra-island, cross-island, and ECMP'd routes.
 _HOSTS = [
@@ -54,14 +60,13 @@ _OPS = st.lists(
 )
 
 
-def _run_fabric_scenario(solver: str, ops, debug_names: bool = False):
-    """Drive one op stream straight into a Fabric; returns the full
-    observable record (deliveries, victims, link counters, schedule)."""
+def _run_fabric_scenario(solver: type, ops, debug_names: bool = False):
+    """Drive one op stream straight into a Fabric run by the ``solver``
+    engine; returns the full observable record (deliveries, victims,
+    link counters, schedule)."""
     sim = Simulator(debug_names=debug_names, log_schedule=True)
-    config = SystemConfig(
-        net_link_sharing="fair", spine_paths=2, fluid_solver=solver
-    )
-    fabric = Fabric(sim, config)
+    fabric = Fabric(sim, SystemConfig(net_link_sharing="fair", spine_paths=2))
+    use_fluid_solver(fabric, solver)
     deliveries: list = []
     log: list = []
 
@@ -121,8 +126,8 @@ def _run_fabric_scenario(solver: str, ops, debug_names: bool = False):
 @given(ops=_OPS)
 @settings(max_examples=150, deadline=None)
 def test_scoped_matches_dense_exactly(ops):
-    dense = _run_fabric_scenario("dense", ops)
-    scoped = _run_fabric_scenario("scoped", ops)
+    dense = _run_fabric_scenario(DenseFluidSolver, ops)
+    scoped = _run_fabric_scenario(ScopedFluidSolver, ops)
     assert scoped["deliveries"] == dense["deliveries"]
     assert scoped["log"] == dense["log"]  # abort results + eviction victims
     assert scoped["links"] == dense["links"]
@@ -138,8 +143,8 @@ def test_scoped_matches_dense_exactly(ops):
 @settings(max_examples=50, deadline=None)
 def test_schedule_independent_of_debug_names(ops):
     """Lazy event naming may never perturb the solver's schedule."""
-    plain = _run_fabric_scenario("scoped", ops, debug_names=False)
-    named = _run_fabric_scenario("scoped", ops, debug_names=True)
+    plain = _run_fabric_scenario(ScopedFluidSolver, ops, debug_names=False)
+    named = _run_fabric_scenario(ScopedFluidSolver, ops, debug_names=True)
     assert [t for t, _ in named["schedule"]] == [
         t for t, _ in plain["schedule"]
     ]
@@ -163,17 +168,10 @@ class TestFullScenarioEquivalence:
     (the PR-8 fault matrix: eviction, reroute-with-remaining, park)."""
 
     def _pair(self, **kwargs):
-        base = kwargs.pop("config", SystemConfig())
-        runs = []
-        for solver in ("dense", "scoped"):
-            runs.append(
-                run_net_congestion(
-                    config=base.with_overrides(fluid_solver=solver),
-                    log_schedule=True,
-                    **kwargs,
-                )
-            )
-        return runs
+        return [
+            run_net_congestion(fluid_solver=solver, log_schedule=True, **kwargs)
+            for solver in (DenseFluidSolver, ScopedFluidSolver)
+        ]
 
     def test_plain_congestion(self):
         dense, scoped = self._pair(
@@ -222,8 +220,8 @@ class TestFullScenarioEquivalence:
         assert _scenario_fingerprint(dense) == _scenario_fingerprint(scoped)
 
     def test_flow_fleet_deliveries_identical(self):
-        dense = run_flow_fleet(n_flows=300, hosts=8, fluid_solver="dense")
-        scoped = run_flow_fleet(n_flows=300, hosts=8, fluid_solver="scoped")
+        dense = run_flow_fleet(n_flows=300, hosts=8, fluid_solver=DenseFluidSolver)
+        scoped = run_flow_fleet(n_flows=300, hosts=8)
         assert dense.deliveries == scoped.deliveries
         assert dense.elapsed_us == scoped.elapsed_us
         assert dense.events == scoped.events
@@ -233,29 +231,20 @@ class TestFullScenarioEquivalence:
 class TestSolverSelection:
     def test_default_is_scoped(self):
         fabric = Fabric(Simulator(), SystemConfig())
-        assert fabric.fluid_solver == "scoped"
+        assert type(fabric._solver) is ScopedFluidSolver
 
-    def test_explicit_config(self):
-        cfg = SystemConfig(fluid_solver="dense")
-        assert Fabric(Simulator(), cfg).fluid_solver == "dense"
+    def test_oracle_installs_into_idle_fabric(self):
+        fabric = Fabric(Simulator(), SystemConfig())
+        use_fluid_solver(fabric, DenseFluidSolver)
+        assert type(fabric._solver) is DenseFluidSolver
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NET_FLUID_SOLVER", "dense")
-        assert Fabric(Simulator(), SystemConfig()).fluid_solver == "dense"
-        # Explicit config beats the environment.
-        cfg = SystemConfig(fluid_solver="scoped")
-        assert Fabric(Simulator(), cfg).fluid_solver == "scoped"
-
-    def test_unknown_solver_rejected(self):
-        with pytest.raises(ValueError, match="scoped"):
-            Fabric(Simulator(), SystemConfig(fluid_solver="quantum"))
-
-    def test_empty_string_rejected_not_defaulted(self, monkeypatch):
-        """An explicit ``fluid_solver=""`` is an unknown solver, not a
-        fall-through to the env var: only ``None`` defers."""
-        monkeypatch.setenv("REPRO_NET_FLUID_SOLVER", "dense")
-        with pytest.raises(ValueError, match="unknown fluid_solver"):
-            Fabric(Simulator(), SystemConfig(fluid_solver=""))
+    def test_oracle_refuses_live_flows(self):
+        sim, fabric, route = TestTimerHygiene._fabric(ScopedFluidSolver)
+        fabric.start_flow("a", route, 10_000)
+        with pytest.raises(RuntimeError, match="1 flow"):
+            use_fluid_solver(fabric, DenseFluidSolver)
+        sim.run()
+        use_fluid_solver(fabric, DenseFluidSolver)  # drained: idle again
 
 
 class TestTimerHygiene:
@@ -265,14 +254,15 @@ class TestTimerHygiene:
     cancellable handle: at most one live timer, zero after drain."""
 
     @staticmethod
-    def _fabric(solver: str):
+    def _fabric(solver: type):
         sim = Simulator()
-        fabric = Fabric(sim, SystemConfig(fluid_solver=solver))
+        fabric = Fabric(sim, SystemConfig())
+        use_fluid_solver(fabric, solver)
         hosts = [SimpleNamespace(host_id=i, island_id=0) for i in range(2)]
         route = fabric.route(hosts[0], hosts[1])
         return sim, fabric, route
 
-    @pytest.mark.parametrize("solver", ["dense", "scoped"])
+    @_SOLVERS
     def test_one_live_timer_despite_churn(self, solver):
         sim, fabric, route = self._fabric(solver)
         for key in range(50):
@@ -286,7 +276,7 @@ class TestTimerHygiene:
         # Not merely "no live entries": physically empty post-drain.
         assert len(sim._queue) == 0
 
-    @pytest.mark.parametrize("solver", ["dense", "scoped"])
+    @_SOLVERS
     def test_abort_all_cancels_the_timer(self, solver):
         sim, fabric, route = self._fabric(solver)
         for key in range(10):
@@ -302,7 +292,7 @@ class TestTimerHygiene:
 
 class TestFabricStats:
     def test_snapshot_is_frozen_and_serializable(self):
-        sim, fabric, route = TestTimerHygiene._fabric("scoped")
+        sim, fabric, route = TestTimerHygiene._fabric(ScopedFluidSolver)
         fabric.start_flow("a", route, 10_000)
         sim.run()
         snap = fabric.stats()
@@ -310,13 +300,12 @@ class TestFabricStats:
         with pytest.raises(Exception):
             snap.active_flows = 5  # frozen dataclass
         d = snap.as_dict()
-        assert d["fluid_solver"] == "scoped"
         assert d["flows_completed"] == 1 and d["idle"] is True
         assert snap.timer_fires >= 1
 
     def test_scoped_touches_no_more_than_dense(self):
-        dense = run_flow_fleet(n_flows=200, hosts=16, fluid_solver="dense")
-        scoped = run_flow_fleet(n_flows=200, hosts=16, fluid_solver="scoped")
+        dense = run_flow_fleet(n_flows=200, hosts=16, fluid_solver=DenseFluidSolver)
+        scoped = run_flow_fleet(n_flows=200, hosts=16)
         assert scoped.fabric.flows_touched < dense.fabric.flows_touched
         assert (
             scoped.fabric.flows_touched_per_update

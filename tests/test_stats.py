@@ -16,7 +16,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.sim import Simulator
 from repro.stats import (
     ClientStats,
     ServeStats,
@@ -37,7 +36,7 @@ def wrapped(client, system, py_fn, name, n=2, duration=50.0):
 class TestProtocol:
     def test_snapshots_are_frozen(self):
         s = SimStats(now_us=1.0, events_processed=2, pending_timers=3,
-                     immediate_depth=0, live_processes=0, timer_queue="calendar")
+                     immediate_depth=0, live_processes=0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             s.events_processed = 99
 
@@ -87,10 +86,6 @@ class TestSimulatorStats:
         assert s.pending_timers == 2  # second timeout + ticker re-arm
         assert s.immediate_depth == 0
         assert s.live_processes == 1
-        assert s.timer_queue == "calendar"
-
-    def test_reports_selected_queue(self):
-        assert Simulator(timer_queue="heap").stats().timer_queue == "heap"
 
 
 class TestSystemStats:

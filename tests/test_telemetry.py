@@ -137,20 +137,14 @@ class TestTracerEnabled:
         assert mark.is_instant and not child.is_instant
         assert tr.by_cat("test") == tr.spans
 
-    def test_record_duck_types_trace_recorder(self):
-        """A tracer handed to the cluster as its kernel recorder lands
-        device intervals in the span stream, and ``to_trace_recorder``
-        round-trips them into the ASCII timeline renderer."""
-        from repro.trace.render import render_timeline
-
+    def test_extent_skips_open_spans(self, sim):
         tr = Tracer()
-        tr.record(device=0, start=0.0, end=10.0, tag="matmul", program="step")
-        tr.record(device=1, start=5.0, end=15.0, tag="allreduce")
-        rec = tr.to_trace_recorder()
-        assert len(rec.events) == 2
-        assert {e.device for e in rec.events} == {0, 1}
-        art = render_timeline(rec, width=40)
-        assert "step" in art  # the legend keys on program names
+        tr.bind(sim)
+        assert tr.extent("kernel") == (0.0, 0.0)
+        tr.record(device=0, start=2.0, end=5.0)
+        tr.record(device=1, start=1.0, end=4.0)
+        tr.begin("open", "kernel")
+        assert tr.extent("kernel") == (1.0, 5.0)
 
     def test_open_span_closes_at_export(self, sim):
         tr = Tracer()

@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import CalendarTimerQueue, HeapTimerQueue, Simulator
+from repro.sim import CalendarTimerQueue, Simulator
+from repro.testing.oracles import HeapTimerQueue, use_timer_queue
 
 #: Delay pools chosen to hit every calendar mechanism: sub-width ties,
 #: in-horizon spread, and way-past-horizon overflow.
@@ -273,20 +274,20 @@ def test_head_discard_below_min_drains_loaded_bucket():
 
 class TestTimerQueueSelection:
     def test_default_is_calendar(self):
-        assert Simulator().timer_queue == "calendar"
+        assert type(Simulator()._queue) is CalendarTimerQueue
 
     def test_explicit_heap(self):
-        assert Simulator(timer_queue="heap").timer_queue == "heap"
+        sim = Simulator()
+        use_timer_queue(sim, HeapTimerQueue)
+        assert type(sim._queue) is HeapTimerQueue
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_TIMER_QUEUE", "heap")
-        assert Simulator().timer_queue == "heap"
-        # Explicit argument beats the environment.
-        assert Simulator(timer_queue="calendar").timer_queue == "calendar"
-
-    def test_unknown_queue_rejected(self):
-        with pytest.raises(ValueError, match="calendar"):
-            Simulator(timer_queue="wheel-of-fortune")
+    def test_oracle_refuses_live_timers(self):
+        sim = Simulator()
+        sim.timeout(5.0)
+        with pytest.raises(RuntimeError, match="1 timer"):
+            use_timer_queue(sim, HeapTimerQueue)
+        sim.run()
+        use_timer_queue(sim, HeapTimerQueue)  # drained: idle again
 
 
 class TestEngineCoreEquivalence:
@@ -295,9 +296,10 @@ class TestEngineCoreEquivalence:
     the calendar default; this pins calendar *against* heap)."""
 
     @staticmethod
-    def _schedule(timer_queue: str):
+    def _schedule(timer_queue: type):
         rng = random.Random(42)
-        sim = Simulator(timer_queue=timer_queue, log_schedule=True)
+        sim = Simulator(log_schedule=True)
+        use_timer_queue(sim, timer_queue)
 
         def proc(i):
             for _ in range(10):
@@ -315,4 +317,4 @@ class TestEngineCoreEquivalence:
         return list(sim.schedule_log)
 
     def test_identical_schedules(self):
-        assert self._schedule("calendar") == self._schedule("heap")
+        assert self._schedule(CalendarTimerQueue) == self._schedule(HeapTimerQueue)
