@@ -20,6 +20,7 @@ Scheduling happens at millisecond timescales; each decision costs
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Generator, Optional, Protocol
 
@@ -56,9 +57,13 @@ class DeadlineExceeded(RuntimeError):
         self.deadline_at_us = deadline_at_us
 
 
-@dataclass
+@dataclass(eq=False)
 class GangRequest:
-    """One computation instance awaiting its enqueue turn."""
+    """One computation instance awaiting its enqueue turn.
+
+    Compared by identity: the scheduler's queues find and remove a
+    request as that object, never by field-wise equality.
+    """
 
     client: str
     program: str
@@ -82,6 +87,10 @@ class GangRequest:
     seq: int = 0
 
 
+def _seq(req: GangRequest) -> int:
+    return req.seq
+
+
 class SchedulingPolicy(Protocol):
     """Chooses the next request from a non-empty pending list."""
 
@@ -91,9 +100,9 @@ class SchedulingPolicy(Protocol):
 class FifoPolicy:
     """Strict arrival order."""
 
-    #: The grant loop's fast path: since the pending list is kept in
-    #: arrival (= seq) order, the first eligible request IS the FIFO
-    #: winner — no eligible-list materialization needed.
+    #: The grant loop's fast path: each pending queue is kept in arrival
+    #: (= seq) order, so the lowest-seq head of an eligible queue IS the
+    #: FIFO winner — no eligible-list materialization needed.
     picks_first_eligible = True
 
     def pick(self, pending: list[GangRequest]) -> GangRequest:
@@ -191,7 +200,12 @@ class IslandScheduler:
         self.config = config
         self.policy: SchedulingPolicy = policy if policy is not None else FifoPolicy()
         self._incoming: Store = Store(sim, name=f"sched_in[{island.island_id}]")
-        self._pending: list[GangRequest] = []
+        #: Pending requests grouped by their exact device set, each queue
+        #: in arrival (= seq) order.  Requests sharing a device set are
+        #: all eligible or all blocked, so a grant checks admission once
+        #: per device set instead of once per pending request.  Empty
+        #: queues are dropped.
+        self._pending: dict[tuple[int, ...], deque[GangRequest]] = {}
         self._outstanding: dict[int, int] = {}
         #: Granted-but-unfinished requests by seq -> live device ids.
         #: This is the authoritative admission-control record: a
@@ -267,7 +281,7 @@ class IslandScheduler:
         return SchedulerStats(
             island_id=self.island.island_id,
             decisions=self.decisions,
-            pending=len(self._pending),
+            pending=sum(len(q) for q in self._pending.values()),
             live_grants=len(self._live_grants),
             evictions=self.evictions,
             deadline_evictions=self.deadline_evictions,
@@ -344,14 +358,31 @@ class IslandScheduler:
         return len(self._live_grants)
 
     # -- internals -----------------------------------------------------
-    def _eligible(self, req: GangRequest) -> bool:
+    def _eligible(self, device_ids: tuple[int, ...]) -> bool:
         depth = self.config.scheduler_queue_depth
-        outstanding = self._outstanding
-        get = outstanding.get
-        for d in req.device_ids:
+        get = self._outstanding.get
+        for d in device_ids:
             if get(d, 0) >= depth:
                 return False
         return True
+
+    def _select(self) -> Optional[GangRequest]:
+        """The policy's pick among the eligible pending requests, or
+        None when every pending request is blocked."""
+        eligible = [q for key, q in self._pending.items() if self._eligible(key)]
+        if not eligible:
+            return None
+        if getattr(self.policy, "picks_first_eligible", False):
+            return min((q[0] for q in eligible), key=_seq)
+        return self.policy.pick(sorted((r for q in eligible for r in q), key=_seq))
+
+    def _unqueue(self, req: GangRequest) -> None:
+        """Remove ``req`` (known to be pending) from its queue."""
+        key = req.device_ids
+        queue = self._pending[key]
+        queue.remove(req)
+        if not queue:
+            del self._pending[key]
 
     def _release(self, device_ids: tuple[int, ...]) -> None:
         for d in device_ids:
@@ -388,7 +419,7 @@ class IslandScheduler:
                         )
                     )
                 return
-            self._pending.append(payload)
+            self._pending.setdefault(payload.device_ids, deque()).append(payload)
         elif kind == "done":
             devices = self._live_grants.pop(payload.seq, None)
             if devices is None:
@@ -415,9 +446,11 @@ class IslandScheduler:
         elif kind == "evict":
             device_id = payload
             self._purge_device(device_id)
-            doomed = [r for r in self._pending if device_id in r.device_ids]
+            doomed_keys = [k for k in self._pending if device_id in k]
+            doomed = sorted(
+                (r for k in doomed_keys for r in self._pending.pop(k)), key=_seq
+            )
             for req in doomed:
-                self._pending.remove(req)
                 self.evictions += 1
                 if not req.grant.triggered:
                     req.grant.fail(
@@ -426,11 +459,12 @@ class IslandScheduler:
             self._check_drained()
         elif kind == "expire":
             req = payload
-            if req in self._pending:
+            queue = self._pending.get(req.device_ids)
+            if queue is not None and req in queue:
                 # Same removal path as a device eviction: surviving
                 # requests keep their sequence numbers, so the relative
                 # enqueue order of everything still eligible holds.
-                self._pending.remove(req)
+                self._unqueue(req)
                 self.deadline_evictions += 1
                 tr = self.sim.tracer
                 if tr is not None and tr.enabled:
@@ -485,22 +519,10 @@ class IslandScheduler:
             # the drain still grant in order; only new submissions are
             # rejected (in ``_apply``).
             while not self._paused:
-                if getattr(self.policy, "picks_first_eligible", False):
-                    # FIFO fast path: _pending is in arrival (seq) order,
-                    # so the first eligible entry is the policy's pick.
-                    choice = None
-                    for r in self._pending:
-                        if self._eligible(r):
-                            choice = r
-                            break
-                    if choice is None:
-                        break
-                else:
-                    eligible = [r for r in self._pending if self._eligible(r)]
-                    if not eligible:
-                        break
-                    choice = self.policy.pick(eligible)
-                self._pending.remove(choice)
+                choice = self._select()
+                if choice is None:
+                    break
+                self._unqueue(choice)
                 if self.config.scheduler_decision_us > 0:
                     yield self.sim.timeout(self.config.scheduler_decision_us)
                 self.decisions += 1

@@ -73,6 +73,8 @@ class ShardedGraph:
         self._g = nx.DiGraph()
         self._nodes: dict[int, ShardedNode] = {}
         self._edges: list[ShardedEdge] = []
+        #: dst -> its in-edges, in connect order.
+        self._in_edges: dict[int, list[ShardedEdge]] = {}
         self._next_id = 0
 
     # -- construction ------------------------------------------------------
@@ -119,6 +121,7 @@ class ShardedGraph:
             raise ValueError(f"edge {src}->{dst} would create a cycle")
         edge = ShardedEdge(src, dst, src_output, dst_input, kind)
         self._edges.append(edge)
+        self._in_edges.setdefault(dst, []).append(edge)
         self._g.add_edge(src, dst)
         return edge
 
@@ -144,7 +147,7 @@ class ShardedGraph:
         return list(self._edges)
 
     def in_edges(self, node_id: int) -> list[ShardedEdge]:
-        return [e for e in self._edges if e.dst == node_id]
+        return list(self._in_edges.get(node_id, ()))
 
     def predecessors(self, node_id: int) -> list[int]:
         return sorted(self._g.predecessors(node_id))

@@ -11,6 +11,7 @@ from repro.core.scheduler import (
     IslandScheduler,
     ProportionalSharePolicy,
 )
+from repro.hw.device import DeviceFailure
 from repro.hw.topology import Island
 from repro.sim import Simulator
 
@@ -434,7 +435,7 @@ class TestDeadlineDrainInterplay:
         assert drained["at"] >= 500.0
         assert sched.in_flight == 0
         assert sched._outstanding == {}
-        assert sched._pending == []
+        assert sched.stats().pending == 0
 
     def test_slots_stay_consistent_after_drain_cycle(self, sim):
         """After expire-during-drain + undrain, the device's admission
@@ -523,3 +524,87 @@ class TestDeadlineDrainInterplay:
         assert isinstance(outcomes["late"], DeviceFailure)
         assert sched.evictions == 1
         assert sched.deadline_evictions == 0
+
+
+class TestDeviceEviction:
+    def test_evicted_requests_fail_in_arrival_order_across_device_sets(self, sim):
+        """Pending requests naming the failed device sit in different
+        device-set queues; they still fail in arrival order, and the
+        survivor on another device set is granted."""
+        sched = make_scheduler(sim)
+        log = []
+
+        def unit(name, devices):
+            req = sched.submit(name, "p", name, device_ids=devices)
+            try:
+                yield req.grant
+            except DeviceFailure:
+                log.append(("failed", name))
+                return
+            log.append(("granted", name))
+            req.enqueued_ack.succeed(None)
+            sched.complete(req)
+
+        def scenario():
+            sched.pause()
+            yield sim.timeout(1.0)
+            for i, devices in enumerate([(0, 1), (0,), (1,), (0, 1), (0,)]):
+                sim.process(unit(f"r{i}", devices))
+            yield sim.timeout(1.0)
+            sched.evict_device(0)
+            sched.resume()
+
+        sim.process(scenario())
+        sim.run()
+        assert log == [
+            ("failed", "r0"),
+            ("failed", "r1"),
+            ("failed", "r3"),
+            ("failed", "r4"),
+            ("granted", "r2"),
+        ]
+        assert sched.evictions == 4
+        assert sched.stats().pending == 0
+
+
+class TestGrantIndexComplexity:
+    def test_eligibility_checks_per_decision_bounded_by_device_sets(self, monkeypatch):
+        """A grant checks admission once per pending device set, not once
+        per pending request.  A GPipe program dispatched in parallel
+        holds O(program) pending gangs over only S device sets, so the
+        per-decision cost must not grow with the program's length."""
+        from repro import PathwaysSystem, config_b
+        from repro.models.pipeline import PipelineBuilder
+        from repro.models.transformer import DECODER_3B
+
+        checks = [0]
+        device_sets = set()
+        eligible = IslandScheduler._eligible
+        submit = IslandScheduler.submit
+
+        def counting_eligible(self, *args, **kwargs):
+            checks[0] += 1
+            return eligible(self, *args, **kwargs)
+
+        def recording_submit(self, *args, **kwargs):
+            req = submit(self, *args, **kwargs)
+            device_sets.add(req.device_ids)
+            return req
+
+        monkeypatch.setattr(IslandScheduler, "_eligible", counting_eligible)
+        monkeypatch.setattr(IslandScheduler, "submit", recording_submit)
+
+        # The perfbench pipeline-16 shape, scaled to S=4 x M=32 on 32 cores.
+        n_stages, n_microbatches, cores = 4, 32, 32
+        system = PathwaysSystem.build(config_b(cores // 8))
+        builder = PipelineBuilder(
+            system, DECODER_3B, n_stages, n_microbatches, cores // n_stages,
+            2048 * 1024, 0.365, nominal_params=3_000_000_000,
+        )
+        builder.build()
+        builder.run(system.client("train"))
+
+        decisions = sum(s.decisions for s in system.stats().schedulers)
+        assert decisions == 2 * n_stages * n_microbatches + n_stages
+        assert len(device_sets) == n_stages
+        assert checks[0] <= 3 * len(device_sets) * decisions
