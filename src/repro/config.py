@@ -29,7 +29,6 @@ Sources for the defaults:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 __all__ = ["SystemConfig", "DEFAULT_CONFIG"]
 
@@ -54,12 +53,6 @@ class SystemConfig:
     #: uncontended fast path reproduces the historical point-to-point
     #: cost model byte-identically (sender-NIC serialization only).
     net_contention: bool = False
-    #: Per-hop serialization discipline when contention is on: "fair"
-    #: (processor sharing — concurrent flows split the link bandwidth)
-    #: or "fifo" (strict arrival-order store-and-forward).
-    net_link_sharing: str = "fair"
-    #: Receiver-NIC ingress bandwidth; None mirrors the egress NIC.
-    net_rx_bandwidth_gbps: Optional[float] = None
     #: Shared island uplink to the spine (all the island's cross-island
     #: traffic contends here — the bottleneck the congestion bench
     #: saturates).
@@ -80,9 +73,6 @@ class SystemConfig:
     #: every spine path down) waits parked for a link restore before it
     #: is failed with ``MessageLost`` (0 = park forever).
     net_park_deadline_us: float = 1_000_000.0
-    #: Default in-flight message timeout (0 = no timeout).  Reliable
-    #: sends retransmit after this long without a delivery.
-    net_message_timeout_us: float = 0.0
     #: Backoff between retransmit attempts of a reliable send.
     net_retransmit_backoff_us: float = 500.0
     #: How much per-link busy history the fabric keeps for the
@@ -114,7 +104,6 @@ class SystemConfig:
     #: (not FIFO arrival) controls device-time shares.
     scheduler_queue_depth: int = 3
     executor_prep_us: float = 25.0               # per-node host prep (alloc, etc.)
-    sequential_node_overhead_us: float = 0.0     # extra per-node cost, seq. dispatch
 
     # --- Multi-controller (JAX-like) baseline ------------------------------
     jax_straggler_sigma_us: float = 30.0         # per-host dispatch jitter scale
@@ -144,13 +133,6 @@ class SystemConfig:
     @property
     def ici_bytes_per_us(self) -> float:
         return self.ici_bandwidth_gbps * 1e9 / 1e6
-
-    @property
-    def net_rx_bytes_per_us(self) -> float:
-        gbps = self.net_rx_bandwidth_gbps
-        if gbps is None:
-            gbps = self.dcn_bandwidth_gbps
-        return gbps * 1e9 / 1e6
 
     @property
     def net_island_uplink_bytes_per_us(self) -> float:

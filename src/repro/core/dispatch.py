@@ -403,8 +403,6 @@ class ProgramExecution:
             # the handle round trip.
             yield ex.all_kernels_done
             yield self.sim.timeout(cfg.dcn_latency_us)  # handles -> controller
-            if cfg.sequential_node_overhead_us > 0:
-                yield self.sim.timeout(cfg.sequential_node_overhead_us)
 
     def _trace_prep(self, node: LowLevelNode, start_us: float) -> None:
         """Emit the host-side prep span; ``args["exec"]`` is the join key

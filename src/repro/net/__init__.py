@@ -10,7 +10,8 @@ fails in-flight messages into the ``retry_on_failure`` recovery path.
 
 ``SystemConfig.net_contention`` selects the cost model: off (default)
 reproduces the historical uncontended point-to-point DCN byte-for-byte;
-on routes every message across contended links.
+on carries every message as one fluid flow across its contended route,
+each link's bandwidth split fairly among the flows crossing it.
 """
 
 from repro.net.fabric import Fabric, Link

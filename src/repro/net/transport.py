@@ -20,10 +20,11 @@ Two cost models share the API:
   byte-identically, now as an explicit event-chain state machine so the
   crash-abort path knows exactly which phase (queued / holding the NIC /
   propagating) each message is in;
-* **contended fabric** (``net_contention=True``): the message traverses
-  its static :class:`~repro.net.fabric.Fabric` route hop by hop,
-  store-and-forward, sharing every link fairly (or FIFO) with whatever
-  else is crossing it — host NIC tx/rx, the island uplinks, the spine.
+* **contended fabric** (``net_contention=True``): the message is one
+  fluid flow across its whole :class:`~repro.net.fabric.Fabric` route,
+  sharing every link fairly with whatever else is crossing it — host
+  NIC tx/rx, the island uplinks, the spine — then one propagation
+  latency.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from typing import Callable, Generator, Optional, Sequence, TYPE_CHECKING
 from repro.config import SystemConfig
 from repro.faults import FaultError
 from repro.sim import Event, Interrupt, Simulator
+from repro.stats import FabricStats
 
 from repro.net.fabric import Fabric, Link
 
@@ -194,13 +196,12 @@ class _SendState:
 class _Reroute:
     """Interrupt cause handed to a traversal whose hop just died.
 
-    ``remaining`` is the fluid flow's unsent bytes at eviction (``None``
-    for FIFO crossings, which retransmit the interrupted hop whole).
+    ``remaining`` is the flow's unsent bytes at eviction.
     """
 
     __slots__ = ("link", "remaining")
 
-    def __init__(self, link: Link, remaining: Optional[float]):
+    def __init__(self, link: Link, remaining: float):
         self.link = link
         self.remaining = remaining
 
@@ -210,7 +211,7 @@ class TransportStats:
     """One point-in-time snapshot of the transport (and its fabric).
 
     ``link_utilization`` is the fabric's sliding-window per-link busy
-    fraction (empty when the transport has no fabric); everything else
+    fraction; everything else
     mirrors the transport's cumulative counters at snapshot time.
     ``lost_by_reason`` buckets every loss by its typed category
     (``"host-crash"``, ``"endpoint-down"``, ``"link-down"``,
@@ -228,6 +229,9 @@ class TransportStats:
     loopback_bytes: int
     #: Distinct messages currently tracked in flight.
     in_flight: int
+    #: ``FabricStats`` of the fabric — fluid-solver counters plus the
+    #: capacity-leak invariant.
+    fabric: FabricStats
     #: Flows switched to a surviving path after a non-endpoint hop died.
     reroutes: int = 0
     #: Park episodes: flows that waited for a link restore because no
@@ -237,9 +241,6 @@ class TransportStats:
     parked_now: int = 0
     lost_by_reason: dict[str, int] = field(default_factory=dict)
     link_utilization: dict[str, float] = field(default_factory=dict)
-    #: ``FabricStats`` of the attached fabric — fluid-solver counters
-    #: plus the capacity-leak invariant (None when fabric-less).
-    fabric: Optional[object] = None
 
     @property
     def max_link_utilization(self) -> float:
@@ -249,17 +250,12 @@ class TransportStats:
 class Transport:
     """Uniform cross-host send/rpc/bulk/collective API over the fabric.
 
-    With ``fabric=None`` (or ``config.net_contention=False``) behaves as
-    the historical point-to-point DCN cost model; with contention on,
-    messages traverse their routes hop by hop under link contention.
+    With ``config.net_contention=False`` behaves as the historical
+    point-to-point DCN cost model; with contention on, every message is
+    a fluid flow across its ``fabric`` route.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        config: SystemConfig,
-        fabric: Optional[Fabric] = None,
-    ):
+    def __init__(self, sim: Simulator, config: SystemConfig, fabric: Fabric):
         self.sim = sim
         self.config = config
         self.fabric = fabric
@@ -319,11 +315,7 @@ class Transport:
             )
         ]
 
-    # -- mode & cost model -------------------------------------------------
-    @property
-    def contended(self) -> bool:
-        return self.fabric is not None and self.config.net_contention
-
+    # -- cost model -------------------------------------------------------
     def transfer_time_us(self, nbytes: int) -> float:
         """Zero-load point-to-point cost (the uncontended estimate)."""
         return self.config.dcn_latency_us + nbytes / self.config.dcn_bytes_per_us
@@ -361,12 +353,8 @@ class Transport:
             messages_parked=self.messages_parked,
             parked_now=len(self._parked),
             lost_by_reason=dict(self.lost_by_reason),
-            link_utilization=(
-                self.fabric.utilization(window_us)
-                if self.fabric is not None
-                else {}
-            ),
-            fabric=self.fabric.stats() if self.fabric is not None else None,
+            link_utilization=self.fabric.utilization(window_us),
+            fabric=self.fabric.stats(),
         )
 
     # -- the send paths -----------------------------------------------------
@@ -403,7 +391,7 @@ class Transport:
             self._count_loss(msg, cause)
             return msg
         self._track(msg)
-        if self.contended:
+        if self.config.net_contention:
             msg.flow_seq = self._next_flow_seq
             self._next_flow_seq += 1
             # None (no surviving middle path) becomes the empty route:
@@ -416,8 +404,6 @@ class Transport:
         else:
             state = msg._state = _SendState(self, msg)
             state.start()
-        if timeout_us is None and self.config.net_message_timeout_us > 0:
-            timeout_us = self.config.net_message_timeout_us
         if timeout_us is not None and timeout_us > 0:
             self.sim.timeout(timeout_us).add_callback(
                 lambda ev, m=msg: self._on_timeout(m)
@@ -542,13 +528,10 @@ class Transport:
         ``name`` is the stable link name (``spine[p1]``, ``uplink_tx[i0]``,
         ``nic_rx[h3]``, ...).  Every flow crossing the link is evicted
         with exact capacity release and its traversal re-routes: onto a
-        surviving path (fluid flows resume with their remaining bytes,
-        FIFO crossings retransmit the interrupted hop), parked until a
-        restore when no path survives, or — endpoint NIC death only —
+        surviving path (resuming with its remaining bytes), parked until
+        a restore when no path survives, or — endpoint NIC death only —
         failed with :class:`MessageLost`.  Returns the victim count.
         """
-        if self.fabric is None:
-            raise RuntimeError("transport has no fabric to fail links on")
         link = self.fabric.link_by_name(name)
         victims = self.fabric.take_down(link)
         for key, remaining in victims:
@@ -561,11 +544,9 @@ class Transport:
         """Bring a downed link back up, waking parked flows it unblocks.
 
         Parked messages are retried in park order; each recomputes its
-        route (ECMP rehash included) and resumes from its first
-        untraversed hop.  Returns False if the link was not down.
+        route (ECMP rehash included) and resumes with its remaining
+        bytes.  Returns False if the link was not down.
         """
-        if self.fabric is None:
-            raise RuntimeError("transport has no fabric to restore links on")
         link = self.fabric.link_by_name(name)
         if not self.fabric.restore_link(link):
             return False
@@ -578,22 +559,19 @@ class Transport:
 
     # -- internals -----------------------------------------------------------
     def _traverse(self, msg: Message) -> Generator:
-        """Contended traversal across the route, then propagation.
+        """Contended traversal: one fluid flow across the route, then
+        propagation.
 
-        Fair sharing uses the fabric's fluid engine (the message holds
-        its whole route, progressing at the bottleneck share); FIFO
-        store-and-forwards hop by hop.  The loop is the reroute engine:
-        a hop death mid-crossing interrupts the traversal with
-        :class:`_Reroute`, the route is recomputed over surviving paths
-        (fluid flows keep their remaining-byte progress; FIFO crossings
-        retransmit the interrupted hop whole), and when *no* path
-        survives the message parks until a link restore.  Only a dead
-        endpoint NIC loses the message.
+        The message holds its whole route, progressing at the bottleneck
+        share.  The loop is the reroute engine: a hop death mid-flow
+        interrupts the traversal with :class:`_Reroute`, the route is
+        recomputed over surviving paths and the flow restarts with its
+        remaining bytes, and when *no* path survives the message parks
+        until a link restore.  Only a dead endpoint NIC loses the
+        message.
         """
         fabric = self.fabric
-        fair = fabric.sharing == "fair"
         remaining = float(msg.nbytes)
-        hop = 0  # FIFO resume index; fluid always restarts the route
         while not msg.triggered:
             if not msg.route:
                 new = fabric.route(msg.src, msg.dst, msg.flow_seq)
@@ -603,10 +581,7 @@ class Transport:
                         return
                     continue
                 msg.route = new
-                hop = 0
-            down = next(
-                (link for link in msg.route[hop:] if not link.up), None
-            )
+            down = next((link for link in msg.route if not link.up), None)
             if down is not None:
                 if down.kind == "nic":
                     # The endpoint rule: fabrics survive link loss, not
@@ -634,30 +609,14 @@ class Transport:
                     )
                 continue
             try:
-                if fair:
-                    # The fluid flow spans the whole route (sender NIC
-                    # included) until completion, so the message is on
-                    # the wire only once the flow has fully drained.
-                    yield fabric.start_flow(msg, msg.route, remaining)
-                    msg.on_wire = True
-                else:
-                    # Store-and-forward: past the first hop (the
-                    # sender's NIC) the message is buffered in the
-                    # network — a sender crash no longer loses it.
-                    while hop < len(msg.route):
-                        link = msg.route[hop]
-                        if not link.up:
-                            break  # died since the check; re-route above
-                        yield link.transmit(msg, msg.nbytes)
-                        hop += 1
-                        if hop == 1:
-                            msg.on_wire = True
-                    if hop < len(msg.route):
-                        continue
+                # The flow spans the whole route (sender NIC included)
+                # until completion, so the message is on the wire only
+                # once the flow has fully drained.
+                yield fabric.start_flow(msg, msg.route, remaining)
+                msg.on_wire = True
             except Interrupt as intr:
                 if isinstance(intr.cause, _Reroute):
-                    if intr.cause.remaining is not None:
-                        remaining = intr.cause.remaining
+                    remaining = intr.cause.remaining
                     continue
                 return  # crash/timeout abort: the message already failed
             break
@@ -801,10 +760,7 @@ class Transport:
         if msg._state is not None:
             msg._state.abort(cause)
             return
-        if self.fabric is not None and self.fabric.sharing == "fair":
-            self.fabric.abort_flow(msg)
-        for link in msg.route:
-            link.abort(msg)
+        self.fabric.abort_flow(msg)
         proc = msg._proc
         if proc is not None and not proc.triggered:
             proc.interrupt(cause)

@@ -101,9 +101,8 @@ def _sender_stream(
     backoff = system.config.net_retransmit_backoff_us
     if stagger_us > 0:
         # Offset this stream's first send so a host's streams pipeline
-        # through the store-and-forward hops instead of moving as a
-        # convoy (fair-share links keep identical same-start flows in
-        # lockstep forever).
+        # instead of moving as a convoy (fair-share links keep
+        # identical same-start flows in lockstep forever).
         yield sim.timeout(stagger_us)
     while sim.now < horizon_us:
         if reliable:
@@ -161,7 +160,6 @@ def run_net_congestion(
     flow_bytes: int = 4 << 20,
     duration_us: float = 50_000.0,
     contention: bool = True,
-    sharing: str = "fair",
     n_probes: int = 5,
     probe_interval_us: float = 5_000.0,
     probe_elems: int = 1 << 22,
@@ -207,7 +205,6 @@ def run_net_congestion(
         reliable = crash
     config = config.with_overrides(
         net_contention=contention,
-        net_link_sharing=sharing,
         spine_paths=spine_paths,
     )
     system = PathwaysSystem.build(
@@ -413,10 +410,7 @@ def run_flow_fleet(
     """
     if hosts < 2 or hosts % 2:
         raise ValueError(f"hosts must be even and >= 2, got {hosts}")
-    config = config.with_overrides(
-        net_contention=True,
-        net_link_sharing="fair",
-    )
+    config = config.with_overrides(net_contention=True)
     t0 = time.perf_counter()
     system = PathwaysSystem.build(
         ClusterSpec(islands=((hosts, devices_per_host),), name="flowfleet"),

@@ -7,11 +7,17 @@ public names and private *methods*; private module-level helpers are
 left to the linter.  Dunders and the ``visit_*`` methods of
 ``ast.NodeVisitor`` subclasses are reached by name lookup, so they are
 exempt.  Delete a dead definition, or give it a caller.
+
+The knob surface is held the same way: ``SystemConfig`` fields and the
+distinct ``REPRO_*`` environment variables ``src/repro`` reads may not
+grow past their ceilings below.  Raising a ceiling is a deliberate edit
+that names the new knob and its caller in CHANGES.md.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import re
 from collections import Counter
 from pathlib import Path
@@ -19,6 +25,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS_DIRS = ("src", "tests", "benchmarks", "examples", "perfbench")
 WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+ENV_VAR = re.compile(r"\bREPRO_[A-Z][A-Z0-9_]*")
+
+#: Knob-surface ceilings (see the module docstring).
+MAX_CONFIG_FIELDS = 35
+MAX_ENV_VARS = 5
 
 
 def _word_counts() -> Counter:
@@ -88,3 +99,24 @@ def test_no_unreferenced_definitions():
             qual = f"{owner}.{name}" if owner else name
             dead.append(f"{path.relative_to(ROOT)}:{line} {qual}")
     assert not dead, "unreferenced definitions:\n" + "\n".join(dead)
+
+
+def test_knob_surface_does_not_grow():
+    from repro.config import SystemConfig
+
+    fields = [f.name for f in dataclasses.fields(SystemConfig)]
+    assert len(fields) <= MAX_CONFIG_FIELDS, (
+        f"SystemConfig has {len(fields)} fields (ceiling "
+        f"{MAX_CONFIG_FIELDS}): {fields}"
+    )
+    env_vars = sorted(
+        {
+            name
+            for path in (ROOT / "src" / "repro").rglob("*.py")
+            for name in ENV_VAR.findall(path.read_text(encoding="utf-8"))
+        }
+    )
+    assert len(env_vars) <= MAX_ENV_VARS, (
+        f"src/repro reads {len(env_vars)} REPRO_* variables (ceiling "
+        f"{MAX_ENV_VARS}): {env_vars}"
+    )

@@ -65,7 +65,7 @@ def _run_fabric_scenario(solver: type, ops, debug_names: bool = False):
     engine; returns the full observable record (deliveries, victims,
     link counters, schedule)."""
     sim = Simulator(debug_names=debug_names, log_schedule=True)
-    fabric = Fabric(sim, SystemConfig(net_link_sharing="fair", spine_paths=2))
+    fabric = Fabric(sim, SystemConfig(spine_paths=2))
     use_fluid_solver(fabric, solver)
     deliveries: list = []
     log: list = []

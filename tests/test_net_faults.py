@@ -38,11 +38,10 @@ from repro.sim import Simulator
 TWIN = ClusterSpec(islands=((2, 4), (2, 4)), name="twin")
 
 
-def _twin(spine_paths=2, sharing="fair", sanitize=True, **overrides):
+def _twin(spine_paths=2, sanitize=True, **overrides):
     """A contended two-island cluster and its transport."""
     cfg = DEFAULT_CONFIG.with_overrides(
         net_contention=True,
-        net_link_sharing=sharing,
         spine_paths=spine_paths,
         **overrides,
     )
@@ -92,12 +91,19 @@ class TestLinkPrimitives:
         assert not fabric.restore_link(link)  # not down: no-op
 
     def test_down_link_refuses_new_crossings(self):
-        sim, cluster, _ = _twin(spine_paths=2, sharing="fifo")
-        fabric = cluster.fabric
-        link = fabric.link_by_name("spine[p0]")
-        fabric.take_down(link)
-        with pytest.raises(RuntimeError):
-            link.transmit(object(), 100)
+        sim, cluster, transport = _twin(spine_paths=2)
+        src, dst = _endpoints(cluster)
+        p0 = cluster.fabric.link_by_name("spine[p0]")
+        transport.fail_link("spine[p0]")
+        msgs = [transport.send(src, dst, 1 << 20) for _ in range(8)]
+        sim.run(until=10.0)
+        assert cluster.fabric.active_flows == 8
+        assert p0.fluid_flows == 0
+        sim.run()
+        assert all(m.triggered and m._exc is None for m in msgs)
+        assert all(m.route[2].name == "spine[p1]" for m in msgs)
+        assert p0.bytes_carried == 0 and p0.flows_completed == 0
+        assert cluster.fabric.idle
 
     def test_down_link_is_exempt_from_busy_links(self):
         sim, cluster, transport = _twin(spine_paths=1)
@@ -202,8 +208,8 @@ class TestRerouteOnFailure:
         assert sim.now == pytest.approx(expected, rel=0.01)
         assert cluster.fabric.idle
 
-    def test_fifo_reroute_retransmits_interrupted_hop(self):
-        sim, cluster, transport = _twin(spine_paths=2, sharing="fifo")
+    def test_reroute_parks_and_resumes_on_partial_restore(self):
+        sim, cluster, transport = _twin(spine_paths=2)
         src, dst = _endpoints(cluster)
         msgs = [transport.send(src, dst, 4 << 20) for _ in range(4)]
 
@@ -212,12 +218,15 @@ class TestRerouteOnFailure:
             transport.fail_link("spine[p0]")
             transport.fail_link("spine[p1]")
             yield sim.timeout(2_000.0)
+            assert transport.stats().parked_now == 4
             transport.restore_link("spine[p1]")
 
         sim.process(drill())
         sim.run()
         assert all(m.triggered and m._exc is None for m in msgs)
+        assert all(m.route[2].name == "spine[p1]" for m in msgs)
         assert transport.messages_lost == 0
+        assert transport.stats().parked_now == 0
         assert cluster.fabric.idle
 
     def test_flows_on_healthy_paths_are_undisturbed(self):

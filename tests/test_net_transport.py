@@ -1,6 +1,6 @@
 """Tests for the routed transport layer (repro.net).
 
-Covers the fabric (routes, FIFO and fluid fair-share links), the
+Covers the fabric (routes, fluid fair-share links), the
 transport (uncontended fast path, contended traversal, loopback stats,
 timeouts, reliable retransmit), route loss on host crash — including
 the no-capacity-leak invariants mirroring the PR-3 CPU-slot-leak fix —
@@ -72,43 +72,6 @@ class TestFabricRoutes:
             system.cluster.islands[0].hosts[0], island.hosts[0]
         )
         assert len(route) == 5  # fresh uplinks + NICs materialized on demand
-
-
-class TestFifoLink:
-    def test_serializes_in_arrival_order(self, sim):
-        from repro.net import Link
-
-        link = Link(sim, bytes_per_us=100.0)
-        first = link.transmit("a", 1000)
-        second = link.transmit("b", 1000)
-        sim.run_until_triggered(first)
-        assert sim.now == pytest.approx(10.0)
-        sim.run_until_triggered(second)
-        assert sim.now == pytest.approx(20.0)
-        assert link.idle and link.max_concurrency == 2
-
-    def test_abort_active_starts_next_and_releases(self, sim):
-        from repro.net import Link
-
-        link = Link(sim, bytes_per_us=100.0)
-        link.transmit("a", 10_000)
-        second = link.transmit("b", 1000)
-        assert link.abort("a")
-        sim.run_until_triggered(second)
-        # "b" starts at abort time (t=0), not behind the aborted 100us.
-        assert sim.now == pytest.approx(10.0)
-        assert link.idle
-        assert link.flows_aborted == 1
-
-    def test_abort_queued_entry(self, sim):
-        from repro.net import Link
-
-        link = Link(sim, bytes_per_us=100.0)
-        first = link.transmit("a", 1000)
-        link.transmit("b", 1000)
-        assert link.abort("b")
-        sim.run_until_triggered(first)
-        assert link.idle
 
 
 class TestFluidFairShare:
@@ -394,29 +357,6 @@ class TestContendedRouteLoss:
         assert isinstance(outcome["exc"], MessageLost)
         assert fabric.idle and fabric.active_flows == 0
 
-    def test_fifo_mode_crash_releases_hops(self, sim):
-        config = DEFAULT_CONFIG.with_overrides(
-            net_contention=True, net_link_sharing="fifo"
-        )
-        cluster = make_cluster(
-            sim, ClusterSpec(islands=((2, 2), (2, 2)), name="fifo"), config=config
-        )
-        transport = cluster.transport
-        src = cluster.islands[0].hosts[0]
-        dst = cluster.islands[1].hosts[0]
-        msg = transport.send(src, dst, 100 * MB)
-        trailing = transport.send(src, dst, 1 * MB)
-
-        def crasher():
-            yield sim.timeout(500.0)
-            src.crash()
-
-        sim.process(crasher())
-        sim.run(detect_deadlock=False)
-        assert not msg.ok and not trailing.ok
-        assert cluster.fabric.idle
-
-
 class TestCrossIslandCollective:
     def test_gather_scatter_completes_over_fabric(self, sim, contended_cluster):
         transport = contended_cluster.transport
@@ -664,28 +604,6 @@ class TestReviewRegressions:
         assert msg.ok
         assert transport.messages_lost == 0
 
-    def test_fifo_message_past_src_nic_survives_src_crash(self, sim):
-        config = DEFAULT_CONFIG.with_overrides(
-            net_contention=True, net_link_sharing="fifo"
-        )
-        cluster = make_cluster(
-            sim, ClusterSpec(islands=((2, 2), (2, 2)), name="sf"), config=config
-        )
-        transport = cluster.transport
-        src = cluster.islands[0].hosts[0]
-        dst = cluster.islands[1].hosts[0]
-        # 10 MiB: ~839us on the src NIC hop, then uplink/spine/rx hops.
-        msg = transport.send(src, dst, 10 * MB)
-
-        def crasher():
-            yield sim.timeout(900.0)  # past the NIC hop, buffered upstream
-            src.crash()
-
-        sim.process(crasher())
-        sim.run_until_triggered(msg)
-        assert msg.ok
-        assert cluster.fabric.idle
-
     def test_batching_channel_propagates_loss_eagerly(self, sim, config, small_cluster):
         from repro.plaque.channels import BatchingDcnChannel
 
@@ -822,24 +740,6 @@ class TestUtilizationSnapshot:
         sim.process(_idle(sim))
         sim.run()
         assert cluster.fabric.utilization(5_000.0)["nic_tx[h0]"] == 0.0
-
-    def test_fifo_discipline_tracks_busy_time_too(self, sim):
-        cfg = DEFAULT_CONFIG.with_overrides(
-            net_contention=True, net_link_sharing="fifo"
-        )
-        cluster = make_cluster(
-            sim, ClusterSpec(islands=((2, 2),), name="net"), config=cfg
-        )
-        transport = cluster.transport
-        a, b = cluster.islands[0].hosts
-
-        def sender():
-            yield transport.send(a, b, 4 * MB)
-
-        proc = sim.process(sender())
-        sim.run_until_triggered(proc)
-        assert cluster.fabric.utilization()["nic_tx[h0]"] > 0.3
-        assert cluster.fabric.idle
 
     def test_transport_stats_snapshot(self, sim, contended_config):
         cluster = make_cluster(
