@@ -18,7 +18,8 @@ count exactly equal — schedule neutrality).
 
 Every point is an independent :class:`~repro.bench.sweep.SweepTask`, so
 the sweep fans out across cores (``benchmarks/run.py --jobs N`` or
-``REPRO_BENCH_JOBS``) and merges deterministically in spec order.  The
+``REPRO_BENCH_JOBS``) and merges deterministically in spec order; the
+three points that gate a wall-clock ratio run serially after the pool.  The
 merged ``BENCH_sim_throughput.json`` trajectory (see
 :mod:`repro.bench.wallclock`) is uploaded by the CI perf-smoke job,
 which fails on a >30% events/sec regression against the checked-in
@@ -53,6 +54,12 @@ NET_FLOW_COUNT = 2600
 
 #: Acceptance floor for the scoped fluid solver at flow scale.
 NET_FLOW_MIN_SPEEDUP = 3.0
+
+
+#: Points whose checks gate a wall-clock ratio timed inside the task.
+#: They run one at a time after the pool, so no sweep neighbour competes
+#: for the core they are timed on.
+SERIAL_SERIES = ("NET-F", "TRACE-OFF", "FLEET-C")
 
 
 def _tasks() -> list[SweepTask]:
@@ -125,8 +132,15 @@ def _tasks() -> list[SweepTask]:
 
 
 def sweep() -> WallclockRecorder:
+    tasks = _tasks()
+    alone = [i for i, t in enumerate(tasks) if t.series in SERIAL_SERIES]
+    pooled = [i for i in range(len(tasks)) if i not in alone]
+    points = {}
+    for group, jobs in ((pooled, sweep_jobs()), (alone, 1)):
+        results = run_sweep([tasks[i] for i in group], jobs=jobs)
+        points.update(zip(group, results))
     rec = WallclockRecorder("sim_throughput")
-    for point in run_sweep(_tasks(), jobs=sweep_jobs()):
+    for _, point in sorted(points.items()):
         rec.add_point(
             point["series"], point["x"],
             wall_s=point["wall_s"],

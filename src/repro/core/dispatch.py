@@ -32,7 +32,7 @@ from repro.core.futures import PathwaysFuture
 from repro.core.ir import LowLevelNode, LowLevelProgram, TransferRoute
 from repro.core.object_store import MemorySpace, ObjectHandle
 from repro.core.program import unflatten
-from repro.core.scheduler import DeadlineExceeded
+from repro.core.scheduler import DeadlineExceeded, GangRequest, IslandScheduler
 from repro.hw.device import unwrap_fault
 from repro.sim import Event
 
@@ -325,15 +325,7 @@ class ProgramExecution:
             yield from ex.prep()
             self._trace_prep(node, prep_start)
             self._attach_result_handles(node.node_id)
-            scheduler = self.system.scheduler_for(node.group.island)
-            req = scheduler.submit(
-                client=self.client.name,
-                program=self.low.name,
-                node_label=f"{self.name}:{node.label}",
-                cost_us=node.computation.compute_time_us(self.config),
-                device_ids=node.group.device_ids,
-                deadline_at_us=self.deadline_at_us,
-            )
+            scheduler, req = self._submit(node)
             yield req.grant
         except Exception as exc:  # noqa: BLE001 - grant evicted / prep lost
             # Settle the node's completion event so supervisors observe
@@ -376,15 +368,7 @@ class ProgramExecution:
                 yield from ex.prep()
                 self._trace_prep(node, prep_start)
                 self._attach_result_handles(node.node_id)
-                scheduler = self.system.scheduler_for(node.group.island)
-                req = scheduler.submit(
-                    client=self.client.name,
-                    program=self.low.name,
-                    node_label=f"{self.name}:{node.label}",
-                    cost_us=node.computation.compute_time_us(self.config),
-                    device_ids=node.group.device_ids,
-                    deadline_at_us=self.deadline_at_us,
-                )
+                scheduler, req = self._submit(node)
                 yield req.grant
             except Exception as exc:  # noqa: BLE001 - prep lost / grant evicted
                 # Settle the node's completion event before propagating,
@@ -403,6 +387,19 @@ class ProgramExecution:
             # the handle round trip.
             yield ex.all_kernels_done
             yield self.sim.timeout(cfg.dcn_latency_us)  # handles -> controller
+
+    def _submit(self, node: LowLevelNode) -> tuple[IslandScheduler, GangRequest]:
+        """Queue ``node``'s gang with its island's scheduler."""
+        scheduler = self.system.scheduler_for(node.group.island)
+        req = scheduler.submit(
+            client=self.client.name,
+            program=self.low.name,
+            node_label=f"{self.name}:{node.label}",
+            cost_us=node.computation.compute_time_us(self.config),
+            device_ids=node.group.device_ids,
+            deadline_at_us=self.deadline_at_us,
+        )
+        return scheduler, req
 
     def _trace_prep(self, node: LowLevelNode, start_us: float) -> None:
         """Emit the host-side prep span; ``args["exec"]`` is the join key

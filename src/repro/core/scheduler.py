@@ -1,10 +1,12 @@
 """Per-island centralized gang scheduler (paper §4.4).
 
 Every accelerator computation on an island is sequenced by one
-scheduler.  The scheduler's serial grant loop guarantees the property
-TPUs require: if two programs' computations overlap in device sets, all
-devices observe the same relative enqueue order — so communicating
-computations can never interleave inconsistently and deadlock.
+scheduler.  Its grant pass hands out one grant at a time and waits for
+the winner to append its kernels before choosing the next, which
+guarantees the property TPUs require: if two programs' computations
+overlap in device sets, all devices observe the same relative enqueue
+order — so communicating computations can never interleave
+inconsistently and deadlock.
 
 Policies decide *which* pending computation is sequenced next:
 
@@ -14,7 +16,7 @@ Policies decide *which* pending computation is sequenced next:
   weights, the policy behind Figure 9's 1:1:1:1 and 1:2:4:8 traces.
 
 Scheduling happens at millisecond timescales; each decision costs
-``config.scheduler_decision_us`` on the scheduler's serial loop.
+``config.scheduler_decision_us`` of the grant pass's time.
 """
 
 from __future__ import annotations
@@ -22,12 +24,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Generator, Optional, Protocol
+from typing import Optional, Protocol
 
 from repro.config import SystemConfig
 from repro.hw.device import DeviceFailure
 from repro.hw.topology import Island
-from repro.sim import Event, Simulator, Store
+from repro.sim import Event, Simulator, Timeout
 
 __all__ = [
     "DeadlineExceeded",
@@ -100,7 +102,7 @@ class SchedulingPolicy(Protocol):
 class FifoPolicy:
     """Strict arrival order."""
 
-    #: The grant loop's fast path: each pending queue is kept in arrival
+    #: The grant pass's fast path: each pending queue is kept in arrival
     #: (= seq) order, so the lowest-seq head of an eligible queue IS the
     #: FIFO winner — no eligible-list materialization needed.
     picks_first_eligible = True
@@ -173,7 +175,7 @@ class EarliestDeadlinePolicy:
 
 
 class IslandScheduler:
-    """The serial sequencing loop for one island.
+    """The grant pass for one island.
 
     Two responsibilities:
 
@@ -186,6 +188,13 @@ class IslandScheduler:
       enough that the *policy*, not arrival order, apportions device
       time — this is what makes proportional share (Figure 9)
       enforceable at millisecond timescales.
+
+    Every public entry point changes the scheduler's state when it is
+    called.  Only the grant pass takes simulated time: :meth:`_kick`
+    starts it as a zero-delay event whenever a gang was queued,
+    admission was released or granting resumed, and it continues from
+    each decision's timeout and each winner's ``enqueued_ack`` until
+    nothing is eligible.
     """
 
     def __init__(
@@ -199,7 +208,6 @@ class IslandScheduler:
         self.island = island
         self.config = config
         self.policy: SchedulingPolicy = policy if policy is not None else FifoPolicy()
-        self._incoming: Store = Store(sim, name=f"sched_in[{island.island_id}]")
         #: Pending requests grouped by their exact device set, each queue
         #: in arrival (= seq) order.  Requests sharing a device set are
         #: all eligible or all blocked, so a grant checks admission once
@@ -207,8 +215,9 @@ class IslandScheduler:
         #: queues are dropped.
         self._pending: dict[tuple[int, ...], deque[GangRequest]] = {}
         self._outstanding: dict[int, int] = {}
-        #: Granted-but-unfinished requests by seq -> live device ids.
-        #: This is the authoritative admission-control record: a
+        #: Admitted-but-unfinished requests by seq -> live device ids,
+        #: recorded when a request leaves its queue (before its decision
+        #: delay).  This is the authoritative admission-control record: a
         #: ``complete`` for a request no longer here (evicted, or its
         #: device was readmitted after a restart) is stale and must not
         #: touch the fresh counters.
@@ -225,9 +234,9 @@ class IslandScheduler:
         #: in-flight gangs finish, nothing new is granted.
         self._draining = False
         self._drain_waiters: list[Event] = []
-        self._proc = sim.process(
-            self._run(), name=lambda: f"scheduler[{island.island_id}]", daemon=True
-        )
+        #: Set from a kick until the grant pass finds nothing eligible;
+        #: while set, a further kick has nothing to start.
+        self._busy = False
 
     def submit(
         self,
@@ -262,17 +271,50 @@ class IslandScheduler:
             submitted_us=self.sim.now,
             seq=self.sim.next_id("gang_request"),
         )
-        self._incoming.push(("req", req))
+        if self._draining:
+            # Not admitted: fail fast so the client's retry path can
+            # remap onto a non-draining island instead of wedging on a
+            # grant that will never come.
+            self.rejected_draining += 1
+            device = req.device_ids[0] if req.device_ids else -1
+            req.grant.fail(
+                DeviceFailure(
+                    device,
+                    f"island {self.island.island_id} draining: rejected {node_label}",
+                )
+            )
+        else:
+            self._pending.setdefault(req.device_ids, deque()).append(req)
+            self._kick()
         if deadline_at_us is not None:
             delay = max(0.0, deadline_at_us - self.sim.now)
-            self.sim.timeout(delay).add_callback(
-                lambda ev, r=req: self._incoming.push(("expire", r))
-            )
+            self.sim.timeout(delay, value=req).add_callback(self._expire)
         return req
 
     def complete(self, req: GangRequest) -> None:
         """Signal that a granted computation finished executing."""
-        self._incoming.push(("done", req))
+        devices = self._live_grants.pop(req.seq, None)
+        if devices is None:
+            # Granted before an eviction/readmit of one of its devices:
+            # the counters were already settled then.
+            self.stale_completions += 1
+        else:
+            self._release(devices)
+            tr = self.sim.tracer
+            if tr is not None and tr.enabled:
+                tr.complete(
+                    f"gang:{req.node_label}",
+                    "sched.granted",
+                    req.granted_us,
+                    self.sim.now,
+                    track=f"sched/island{self.island.island_id}",
+                    args={
+                        "client": req.client,
+                        "program": req.program,
+                        "devices": len(devices),
+                    },
+                )
+        self._check_drained()
 
     def stats(self):
         """Frozen scheduler snapshot (unified ``repro.stats`` protocol)."""
@@ -301,7 +343,16 @@ class IslandScheduler:
         ``retry_on_failure`` path after the resource manager remaps its
         virtual slice.
         """
-        self._incoming.push(("evict", device_id))
+        self._purge_device(device_id)
+        doomed_keys = [k for k in self._pending if device_id in k]
+        doomed = sorted(
+            (r for k in doomed_keys for r in self._pending.pop(k)), key=_seq
+        )
+        for req in doomed:
+            self.evictions += 1
+            if not req.grant.triggered:
+                req.grant.fail(DeviceFailure(device_id, f"evicted {req.node_label}"))
+        self._check_drained()
 
     def readmit_device(self, device_id: int) -> None:
         """A previously-evicted device restarted: drop any stale
@@ -311,15 +362,17 @@ class IslandScheduler:
         eviction can race work granted *after* the restart and corrupt
         the fresh counters (over-admitting past the queue depth).
         """
-        self._incoming.push(("readmit", device_id))
+        self._purge_device(device_id)
+        self._check_drained()
 
     def pause(self) -> None:
         """Island preemption: stop granting; pending requests are kept."""
-        self._incoming.push(("pause", None))
+        self._paused = True
 
     def resume(self) -> None:
         """End of preemption: resume granting in original seq order."""
-        self._incoming.push(("resume", None))
+        self._paused = False
+        self._kick()
 
     # -- elastic drain/handback --------------------------------------------
     def drain(self) -> Event:
@@ -337,12 +390,14 @@ class IslandScheduler:
         gangs).
         """
         drained = self.sim.event(name=lambda: f"drained[{self.island.island_id}]")
-        self._incoming.push(("drain", drained))
+        self._draining = True
+        self._drain_waiters.append(drained)
+        self._check_drained()
         return drained
 
     def undrain(self) -> None:
         """Resume granting after a drain (island handed back / kept)."""
-        self._incoming.push(("undrain", None))
+        self._draining = False
 
     @property
     def paused(self) -> bool:
@@ -354,7 +409,8 @@ class IslandScheduler:
 
     @property
     def in_flight(self) -> int:
-        """Granted-but-unfinished gangs."""
+        """Admitted-but-unfinished gangs (granted, or chosen and inside
+        their decision delay)."""
         return len(self._live_grants)
 
     # -- internals -----------------------------------------------------
@@ -391,109 +447,39 @@ class IslandScheduler:
                 self._outstanding[d] = remaining
             else:
                 self._outstanding.pop(d, None)
+        self._kick()
 
     def _purge_device(self, device_id: int) -> None:
         """Forget granted-work accounting involving ``device_id``; the
         surviving devices of affected gangs are released too (their
         kernels were aborted by the collective release)."""
-        self._outstanding.pop(device_id, None)
         for seq, devices in list(self._live_grants.items()):
             if device_id in devices:
                 del self._live_grants[seq]
-                self._release(tuple(d for d in devices if d != device_id))
-
-    def _apply(self, kind: str, payload) -> None:
-        if kind == "req":
-            if self._draining:
-                # Not admitted: fail fast so the client's retry path can
-                # remap onto a non-draining island instead of wedging on
-                # a grant that will never come.
-                self.rejected_draining += 1
-                if not payload.grant.triggered:
-                    device = payload.device_ids[0] if payload.device_ids else -1
-                    payload.grant.fail(
-                        DeviceFailure(
-                            device,
-                            f"island {self.island.island_id} draining: "
-                            f"rejected {payload.node_label}",
-                        )
-                    )
-                return
-            self._pending.setdefault(payload.device_ids, deque()).append(payload)
-        elif kind == "done":
-            devices = self._live_grants.pop(payload.seq, None)
-            if devices is None:
-                # Granted before an eviction/readmit of one of its
-                # devices: the counters were already settled then.
-                self.stale_completions += 1
-            else:
                 self._release(devices)
-                tr = self.sim.tracer
-                if tr is not None and tr.enabled:
-                    tr.complete(
-                        f"gang:{payload.node_label}",
-                        "sched.granted",
-                        payload.granted_us,
-                        self.sim.now,
-                        track=f"sched/island{self.island.island_id}",
-                        args={
-                            "client": payload.client,
-                            "program": payload.program,
-                            "devices": len(devices),
-                        },
-                    )
-            self._check_drained()
-        elif kind == "evict":
-            device_id = payload
-            self._purge_device(device_id)
-            doomed_keys = [k for k in self._pending if device_id in k]
-            doomed = sorted(
-                (r for k in doomed_keys for r in self._pending.pop(k)), key=_seq
+
+    def _expire(self, timeout: Timeout) -> None:
+        """A submission's deadline passed: evict it if still pending."""
+        req = timeout.value
+        queue = self._pending.get(req.device_ids)
+        if queue is None or req not in queue:
+            return
+        # Same removal path as a device eviction: surviving requests
+        # keep their sequence numbers, so the relative enqueue order of
+        # everything still eligible holds.
+        self._unqueue(req)
+        self.deadline_evictions += 1
+        tr = self.sim.tracer
+        if tr is not None and tr.enabled:
+            tr.instant(
+                f"evict:{req.node_label}",
+                "sched.evict",
+                track=f"sched/island{self.island.island_id}",
+                args={"client": req.client, "reason": "deadline"},
             )
-            for req in doomed:
-                self.evictions += 1
-                if not req.grant.triggered:
-                    req.grant.fail(
-                        DeviceFailure(device_id, f"evicted {req.node_label}")
-                    )
-            self._check_drained()
-        elif kind == "expire":
-            req = payload
-            queue = self._pending.get(req.device_ids)
-            if queue is not None and req in queue:
-                # Same removal path as a device eviction: surviving
-                # requests keep their sequence numbers, so the relative
-                # enqueue order of everything still eligible holds.
-                self._unqueue(req)
-                self.deadline_evictions += 1
-                tr = self.sim.tracer
-                if tr is not None and tr.enabled:
-                    tr.instant(
-                        f"evict:{req.node_label}",
-                        "sched.evict",
-                        track=f"sched/island{self.island.island_id}",
-                        args={"client": req.client, "reason": "deadline"},
-                    )
-                if not req.grant.triggered:
-                    req.grant.fail(
-                        DeadlineExceeded(req.node_label, req.deadline_at_us)
-                    )
-                self._check_drained()
-        elif kind == "readmit":
-            self._purge_device(payload)
-            self._check_drained()
-        elif kind == "pause":
-            self._paused = True
-        elif kind == "resume":
-            self._paused = False
-        elif kind == "drain":
-            self._draining = True
-            self._drain_waiters.append(payload)
-            self._check_drained()
-        elif kind == "undrain":
-            self._draining = False
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unknown scheduler message {kind!r}")
+        if not req.grant.triggered:
+            req.grant.fail(DeadlineExceeded(req.node_label, req.deadline_at_us))
+        self._check_drained()
 
     def _check_drained(self) -> None:
         if not self._draining or self._live_grants or self._pending:
@@ -503,46 +489,50 @@ class IslandScheduler:
             if not ev.triggered:
                 ev.succeed(None)
 
-    def _drain_incoming(self) -> None:
-        while True:
-            ok, item = self._incoming.try_get()
-            if not ok:
-                break
-            self._apply(*item)
+    def _kick(self) -> None:
+        """Start the grant pass at this instant unless it is running."""
+        if not self._busy:
+            self._busy = True
+            self.sim.timeout(0.0).add_callback(self._grant_pass)
 
-    def _run(self) -> Generator:
-        while True:
-            kind, req = yield self._incoming.get()
-            self._apply(kind, req)
-            self._drain_incoming()
-            # Draining does not stop this loop: requests admitted before
-            # the drain still grant in order; only new submissions are
-            # rejected (in ``_apply``).
-            while not self._paused:
-                choice = self._select()
-                if choice is None:
-                    break
-                self._unqueue(choice)
-                if self.config.scheduler_decision_us > 0:
-                    yield self.sim.timeout(self.config.scheduler_decision_us)
-                self.decisions += 1
-                for d in choice.device_ids:
-                    self._outstanding[d] = self._outstanding.get(d, 0) + 1
-                self._live_grants[choice.seq] = choice.device_ids
-                choice.granted_us = self.sim.now
-                tr = self.sim.tracer
-                if tr is not None and tr.enabled:
-                    tr.complete(
-                        f"pend:{choice.node_label}",
-                        "sched.pending",
-                        choice.submitted_us,
-                        choice.granted_us,
-                        track=f"sched/island{self.island.island_id}",
-                        args={"client": choice.client, "program": choice.program},
-                    )
-                choice.grant.succeed(None)
-                # Serialize: the winner must finish appending its kernels
-                # before anyone else is granted, preserving a single
-                # global enqueue order on this island.
-                yield choice.enqueued_ack
-                self._drain_incoming()
+    def _grant_pass(self, _ev: Event) -> None:
+        """Admit the policy's next eligible pick, or stop the pass.
+
+        The winner's slots are taken as it leaves its queue, so an
+        eviction or drain during the decision delay already sees it as
+        admitted.  Draining does not stop the pass: requests admitted
+        before the drain still grant in order.
+        """
+        choice = None if self._paused else self._select()
+        if choice is None:
+            self._busy = False
+            return
+        self._unqueue(choice)
+        for d in choice.device_ids:
+            self._outstanding[d] = self._outstanding.get(d, 0) + 1
+        self._live_grants[choice.seq] = choice.device_ids
+        decision_us = self.config.scheduler_decision_us
+        if decision_us > 0:
+            self.sim.timeout(decision_us).add_callback(lambda ev: self._grant(choice))
+        else:
+            self._grant(choice)
+
+    def _grant(self, choice: GangRequest) -> None:
+        """Grant ``choice``; the pass continues once it acknowledges."""
+        self.decisions += 1
+        choice.granted_us = self.sim.now
+        tr = self.sim.tracer
+        if tr is not None and tr.enabled:
+            tr.complete(
+                f"pend:{choice.node_label}",
+                "sched.pending",
+                choice.submitted_us,
+                choice.granted_us,
+                track=f"sched/island{self.island.island_id}",
+                args={"client": choice.client, "program": choice.program},
+            )
+        choice.grant.succeed(None)
+        # Serialize: the winner must finish appending its kernels before
+        # anyone else is granted, preserving a single global enqueue
+        # order on this island.
+        choice.enqueued_ack.add_callback(self._grant_pass)

@@ -611,9 +611,9 @@ class Process(Event):
         self.callbacks = []
         self.generator = generator
         self._waiting_on: Optional[Event] = None
-        #: Daemon processes are service loops (device queues, schedulers)
-        #: that legitimately idle forever; they are exempt from deadlock
-        #: detection.
+        #: Daemon processes are service loops (serving batchers, the
+        #: fault injector) that legitimately idle forever; they are
+        #: exempt from deadlock detection.
         self.daemon = daemon
         #: True once :meth:`cancel` has stopped the process.
         self.cancelled = False

@@ -3,7 +3,7 @@
 :class:`Resource` is a counted semaphore with FIFO granting — used to
 model serial host CPUs, PCIe engines, and bounded HBM allocators.
 :class:`Store` is an unbounded-or-bounded FIFO queue of items — used for
-message channels and device work queues.
+PLAQUE's sharded message channels and input-pipeline prefetch buffers.
 
 Both grant strictly in request order, which keeps the simulation
 deterministic and models the paper's FIFO hardware queues faithfully.
@@ -207,22 +207,6 @@ class Store:
 
     def __len__(self) -> int:
         return len(self._items)
-
-    def push(self, item: Any) -> None:
-        """Fire-and-forget :meth:`put` for unbounded stores.
-
-        Skips the acceptance event entirely (hot message paths — the
-        gang scheduler's mailbox — never wait on a put).  Raises on a
-        bounded store at capacity, where acceptance genuinely blocks.
-        """
-        if self._getters:
-            self._getters.popleft().succeed(item)
-            return
-        if self.capacity is not None and len(self._items) >= self.capacity:
-            raise RuntimeError(
-                f"{self.name}: push on a full bounded store (use put)"
-            )
-        self._items.append(item)
 
     def put(self, item: Any) -> Event:
         sim = self.sim

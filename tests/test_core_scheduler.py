@@ -608,3 +608,87 @@ class TestGrantIndexComplexity:
         assert decisions == 2 * n_stages * n_microbatches + n_stages
         assert len(device_sets) == n_stages
         assert checks[0] <= 3 * len(device_sets) * decisions
+
+
+class TestDecisionWindow:
+    """Entry points act when called, also while a chosen gang waits out
+    its ``scheduler_decision_us``: the gang is admitted as it leaves its
+    queue, so an eviction or drain in the window already counts it."""
+
+    def _scenario(self, sim, action_at_1us):
+        cfg = DEFAULT_CONFIG.with_overrides(scheduler_decision_us=4.0)
+        sched = make_scheduler(sim, config=cfg)
+        log = []
+
+        def unit(name, delay, hold):
+            yield sim.timeout(delay)
+            req = sched.submit(name, "p", name, device_ids=(0, 1))
+            try:
+                yield req.grant
+            except DeviceFailure:
+                log.append(("failed", name, sim.now))
+                return
+            log.append(("granted", name, sim.now))
+            req.enqueued_ack.succeed(None)
+            yield sim.timeout(hold)
+            sched.complete(req)
+            log.append(("completed", name, sim.now))
+
+        sim.process(unit("A", 0.0, 10.0))
+        sim.process(unit("B", 0.5, 10.0))
+        sim.timeout(1.0).add_callback(lambda ev: action_at_1us(sched, log))
+        sim.run()
+        return sched, log
+
+    def test_eviction_in_window_fails_pending_and_stales_chosen(self, sim):
+        sched, log = self._scenario(sim, lambda s, log: s.evict_device(0))
+        # B (pending on the dead device) fails when the device fails;
+        # A was already chosen and is still granted after its decision.
+        assert ("failed", "B", 1.0) in log
+        assert ("granted", "A", 4.0) in log
+        # The eviction settled A's slots, so its completion is stale.
+        assert sched.stale_completions == 1
+        assert sched.evictions == 1
+        assert sched._outstanding == {}
+        assert sched.in_flight == 0
+
+    def test_drain_in_window_waits_for_chosen_gang(self, sim):
+        def drain(sched, log):
+            sched.drain().add_callback(
+                lambda ev: log.append(("drained", "-", sim.now))
+            )
+
+        sched, log = self._scenario(sim, drain)
+        # B was pending at drain time, so it is admitted and runs after A.
+        assert [e for e in log if e[0] == "granted"] == [
+            ("granted", "A", 4.0),
+            ("granted", "B", 8.0),
+        ]
+        drained_at = [t for kind, _, t in log if kind == "drained"]
+        assert drained_at == [18.0]
+        completed = {name: t for kind, name, t in log if kind == "completed"}
+        assert drained_at[0] >= completed["A"]
+        assert sched.stale_completions == 0
+
+
+class TestNoOpEntryPoints:
+    def test_untouched_device_churn_and_complete_schedule_nothing(self, sim):
+        """Evicting and readmitting a device no gang uses costs no engine
+        event, and ``complete`` settles admission when it is called."""
+        sched = make_scheduler(sim)
+        req = sched.submit("a", "p", "a", device_ids=(0,))
+        sim.run()
+        assert req.grant.ok
+        req.enqueued_ack.succeed(None)
+        sim.run()
+        before = sim.events_processed
+        sched.evict_device(1)
+        sched.readmit_device(1)
+        sim.run()
+        assert sim.events_processed == before
+        assert sched.stats().live_grants == 1
+        sched.complete(req)
+        assert sched.stats().live_grants == 0
+        assert sched._outstanding == {}
+        sim.run()
+        assert sched.stale_completions == 0

@@ -378,23 +378,6 @@ class TestHotPathPrimitives:
         to = sim.timeout(2.5)
         assert to.name == "timeout(2.5)"
 
-    def test_store_push_hands_off_to_getter(self, sim):
-        from repro.sim import Store
-
-        store = Store(sim)
-        getter = store.get()
-        store.push("item")
-        sim.run()
-        assert getter.value == "item"
-
-    def test_store_push_rejects_full_bounded_store(self, sim):
-        from repro.sim import Store
-
-        store = Store(sim, capacity=1)
-        store.push("a")
-        with pytest.raises(RuntimeError, match="full bounded store"):
-            store.push("b")
-
     def test_resource_try_acquire_respects_capacity(self, sim):
         from repro.sim import Resource
 
